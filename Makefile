@@ -3,7 +3,7 @@
 GO        ?= go
 BENCHTIME ?= 2s
 
-.PHONY: all build test race lint bench bench-check hunt load load-check load-million fuzz xcheck dpor-audit clean
+.PHONY: all build test race lint bench bench-check perfbench perfbench-ledger hunt load load-check load-million fuzz xcheck dpor-audit clean
 
 # Load-run knobs for make load; see cmd/syncload -h for the full set.
 LOAD_RATE     ?= 2000
@@ -50,6 +50,24 @@ bench-check:
 	$(GO) test -run '^$$' -bench BenchmarkE1 -benchmem -benchtime $(BENCHTIME) -count 1 . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o bench-fresh.json
 	$(GO) run ./cmd/benchjson -compare -tolerance $(TOLERANCE) BENCH_explore.json bench-fresh.json
+
+# perfbench runs the repository benchmark (BENCHMARK.json, perfbench/)
+# on each of its workloads — suite, deep and load — one after another.
+# Each prints a header, report lines and, last, a JSON result line with
+# the end-to-end metrics; it exits 1 if a correctness check failed. The
+# build cache and binary go to .bench_build/. perfbench-ledger runs the
+# per-layer ledger instead (--trace 1: every workload's layers, about
+# 80 s), where explore.parallel_speedup and the exact explore.* counts
+# live. See perfbench/README.md.
+PERF_SEED    ?= 26
+PERF_SECONDS ?= 25
+perfbench:
+	for w in suite deep load; do \
+		bash perfbench/run.sh --workload $$w --seed $(PERF_SEED) --seconds $(PERF_SECONDS) --trace 0 || exit 1; \
+	done
+
+perfbench-ledger:
+	bash perfbench/run.sh --workload deep --seed $(PERF_SEED) --trace 1
 
 # load runs the real-runtime evaluation matrix — every mechanism plus the
 # scalable semaphore variants × the canonical problem trio under Poisson

@@ -272,9 +272,9 @@ func progressLine() func(explore.Stats) {
 		}
 		last = time.Now()
 		fmt.Fprintf(os.Stderr,
-			"\rexplore: phase=%-8s runs=%-7d %6.0f/s pruned=%-6d frontier=%-4d shrink=%d(len %d) pool=%d/%d   ",
+			"\rexplore: phase=%-8s runs=%-7d %6.0f/s pruned=%-6d frontier=%-4d shrink=%d(len %d) pool=%d/%d wasted=%d   ",
 			s.Phase, s.Runs, s.RunsPerSec, s.Pruned, s.Frontier,
-			s.ShrinkRuns, s.ShrinkLen, s.PoolReuses, s.PoolSlots)
+			s.ShrinkRuns, s.ShrinkLen, s.PoolReuses, s.PoolSlots, s.Executed-s.Runs-s.ShrinkRuns)
 		if s.Phase == "done" {
 			fmt.Fprintln(os.Stderr)
 		}

@@ -94,7 +94,7 @@ func (g *ckptRegistry) take(branchKey []byte) *ckptEntry {
 // runs register — a violating or errored run may have been cut short
 // (Options.Stream stops violating runs mid-flight), so its trace is not
 // a sound prefix to resume from.
-func (g *ckptRegistry) registerRun(out runOut, children []*dfsNode) {
+func (g *ckptRegistry) registerRun(out runOut, children []*task) {
 	// Collect the deepest groups, scanning from the tail.
 	var depths, pendings [ckptGroupsPerRun]int
 	n := 0

@@ -10,18 +10,23 @@
 // replayable choice sequence, making the anomaly a reproducible artifact
 // rather than an argument.
 //
-// Exploration is stateless-model-checking shaped but deliberately simple:
-// programs under test are small scenario constructors, so bounded DFS
-// over scheduling choices (without partial-order reduction) is enough.
+// Exploration is stateless model checking over scheduling choices:
+// seeded random sampling, then bounded DFS over choice prefixes, reduced
+// by optional fingerprint pruning (Options.Prune) and dynamic
+// partial-order reduction (Options.DPOR, dpor.go).
 //
 // # Parallelism and determinism
 //
 // Run executes schedules on Options.Workers goroutines (default: all
 // cores) while keeping its result independent of the worker count. The
-// trick is speculation rather than racing: a single driver consumes run
-// outcomes in the canonical sequential order (seed order for the random
-// phase, LIFO frontier order for DFS), and helper goroutines merely
-// execute upcoming schedules ahead of time. Whatever finding the
+// trick is speculation rather than racing. Every worker, the driver
+// included, claims the unclaimed schedule nearest the front of the
+// canonical sequential order (seed order for the random phase, LIFO
+// frontier order for DFS), executes it, judges it with the oracle and,
+// in DFS, computes the run's race candidates for the reduction — all
+// pure functions of the run. A single driver then commits the outcomes
+// in canonical order: dedup, the sleep-set and visited-state memories,
+// frontier pushes and Progress happen only there. Whatever finding the
 // sequential engine would have reported, the parallel engine reports —
 // same Schedule, same Runs count — because every run is deterministic
 // given its policy, and the driver's walk over outcomes is unchanged.
@@ -46,7 +51,12 @@ import (
 // determinism anyway).
 type Program func(k kernel.Kernel, r *trace.Recorder)
 
-// Oracle judges a completed run's trace.
+// Oracle judges a completed run's trace. Like a Program it must be safe
+// for concurrent use: the worker that executed a run judges it, so with
+// Workers > 1 several traces are judged at once. An oracle must be a pure
+// function of the trace — same trace, same violations, no state kept or
+// shared between calls — or the Result would depend on which worker
+// judged what.
 type Oracle func(tr trace.Trace) []problems.Violation
 
 // Result describes one exploration outcome.
@@ -143,7 +153,7 @@ type Options struct {
 	// DPOR enables dynamic partial-order reduction in the DFS phase: the
 	// kernel records which shared objects every scheduling step accessed
 	// (kernel.WithDepTrace), and instead of branching at every visible
-	// decision point the driver walks each completed run's dependency
+	// decision point the engine walks each completed run's dependency
 	// trace, detects pairs of conflicting steps not ordered by
 	// happens-before, and pushes a backtrack point at the earlier step's
 	// branch group only (persistent sets). A sleep-set memory suppresses
@@ -151,11 +161,11 @@ type Options struct {
 	// group. The reduction composes with Prune (proposal points are
 	// fingerprint-deduped), Pool, Stream, Shrink, and Checkpoint
 	// (backtrack points register against checkpoint branch groups), and
-	// all decisions are made on the driver in canonical order, so the
-	// Result stays byte-identical at every Workers count. Like Prune the
-	// dependency relation is a conservative heuristic; DPORAudit is the
-	// cross-check. Result.Stats reports BacktrackPoints, DPORBlocked,
-	// and the analytic ExploredFraction (see coverage.go).
+	// every order-dependent decision is made on the driver in canonical
+	// order, so the Result stays byte-identical at every Workers count.
+	// Like Prune the dependency relation is a conservative heuristic;
+	// DPORAudit is the cross-check. Result.Stats reports BacktrackPoints,
+	// DPORBlocked, and the analytic ExploredFraction (see coverage.go).
 	DPOR bool
 	// DPORAudit runs the DFS budget twice — reduced and fully unreduced,
 	// both to completion — and reports an error finding if the unreduced
@@ -229,39 +239,39 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// judge converts one run into a Result if it is a finding. Findings are
-// handed out as copies: runOut's slices are views into (possibly pooled)
-// executor state, and a Result outlives the run that produced it.
-func judge(out runOut, oracle Oracle, opts Options, runs int) (Result, bool) {
+// judge converts one run into a Result if it is a finding; the caller
+// stamps Runs. Findings are handed out as copies: runOut's slices are
+// views into (possibly pooled) executor state, and a Result outlives the
+// run that produced it.
+func judge(out runOut, oracle Oracle, opts Options) (Result, bool) {
 	if out.err != nil {
 		if opts.IgnoreKernelErrors {
 			return Result{}, false
 		}
-		return finding(out, nil, out.err, runs), true
+		return finding(out, nil, out.err), true
 	}
 	if out.streamed {
 		// The streaming checker judged this run event by event; a
 		// completed run with no stream findings is clean, so the batch
 		// oracle is skipped entirely.
 		if len(out.streamVs) > 0 {
-			return finding(out, append([]problems.Violation(nil), out.streamVs...), nil, runs), true
+			return finding(out, append([]problems.Violation(nil), out.streamVs...), nil), true
 		}
 		return Result{}, false
 	}
 	if vs := oracle(out.tr); len(vs) > 0 {
-		return finding(out, vs, nil, runs), true
+		return finding(out, vs, nil), true
 	}
 	return Result{}, false
 }
 
-func finding(out runOut, vs []problems.Violation, err error, runs int) Result {
+func finding(out runOut, vs []problems.Violation, err error) Result {
 	return Result{
 		Found:      true,
 		Schedule:   append([]kernel.Choice(nil), out.schedule...),
 		Trace:      append(trace.Trace(nil), out.tr...),
 		Violations: vs,
 		Err:        err,
-		Runs:       runs,
 	}
 }
 
@@ -298,7 +308,8 @@ func runPhases(e *executor, prog Program, oracle Oracle, opts Options, t *tracke
 		t.noteCoverage(log2, exact)
 	}
 	t.ran()
-	if res, found := judge(out, oracle, opts, t.st.Runs); found {
+	if res, found := judge(out, oracle, opts); found {
+		res.Runs = t.st.Runs
 		return res
 	}
 	e.release(out)

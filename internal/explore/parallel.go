@@ -1,29 +1,38 @@
-// The parallel exploration engine: a sequential driver plus speculative
-// helper workers.
+// The parallel exploration engine: a crew of workers that run, judge and
+// analyze schedules, and a driver that commits their outcomes in order.
 //
 // Both exploration phases share one structure. The canonical order in
 // which the sequential engine would execute schedules is known in advance
 // (random: ascending seed) or discoverable as the search unfolds (DFS:
-// LIFO frontier order). Helper goroutines claim upcoming schedules and
-// execute them on private kernels; the driver walks the canonical order,
-// adopting a helper's cached outcome when one exists and executing
-// inline otherwise. Because every schedule is deterministic, the driver
-// observes exactly the outcomes the sequential engine would have, so the
-// reported Result — Schedule, Runs, Violations — is independent of the
-// worker count. Speculation past a finding or past the budget is wasted
-// work, never wrong answers.
+// LIFO frontier order). Every worker — the driver included — claims the
+// unclaimed schedule closest to the front of that order, executes it on a
+// private kernel, judges it with the oracle and, in DFS, runs the per-run
+// half of the reduction (dpor.go) before copying out the few per-step
+// arrays branching needs and releasing the kernel. The driver walks the
+// canonical order and commits each outcome: everything whose result
+// depends on what was committed before — pop-time dedup, the sleep-set
+// and visited-state memories, frontier pushes, checkpoints, Progress —
+// happens there and only there. When the outcome it needs next is still
+// being computed elsewhere, the driver judges or executes other work
+// instead of blocking. In DFS, workers also run ahead below the frontier
+// on forecast first children (dporState.predict), and with helpers the
+// driver commits a run's expansion before its verdict is in (dfsScan).
 //
-// All schedule-space pruning (fingerprint dedup, the invisible-step rule)
-// happens on the driver, in canonical order, so pruning decisions are
-// also independent of the worker count: helpers may speculatively execute
-// schedules the driver later discards, which costs time but never changes
-// the answer.
+// Because every schedule is deterministic and every per-run computation
+// is a pure function of the run, the driver observes exactly the
+// outcomes the sequential engine would have, so the reported Result is
+// independent of the worker count. Speculation past a finding or past
+// the budget, and a forecast that does not come true, is wasted work,
+// never a wrong answer; at most speculation × Workers claimed schedules
+// await commit at any time, so the memory held by uncommitted outcomes
+// stays bounded.
 package explore
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -77,11 +86,12 @@ type executor struct {
 	dpor       bool
 
 	// slots counts runSlots ever created; reuses counts runs served by a
-	// recycled slot. Atomics because helpers acquire concurrently; they
-	// feed Stats observability fields only, never the deterministic
-	// Result.
-	slots  atomic.Int64
-	reuses atomic.Int64
+	// recycled slot; executed counts runs executed by any worker. Atomics
+	// because workers run concurrently; they feed Stats observability
+	// fields only, never the deterministic Result.
+	slots    atomic.Int64
+	reuses   atomic.Int64
+	executed atomic.Int64
 
 	mu   sync.Mutex
 	free []*runSlot
@@ -162,8 +172,7 @@ func (e *executor) release(out runOut) {
 }
 
 // close releases every slot's recycled worker goroutines. Call once, when
-// no run is in flight (the phases wait out their helpers before
-// returning).
+// no run is in flight (the phases stop their crews before returning).
 func (e *executor) close() {
 	for _, s := range e.all {
 		s.k.Close()
@@ -180,21 +189,7 @@ func (e *executor) run(prog Program, policy kernel.Policy) runOut {
 		s.stream.Reset()
 		s.vs = s.vs[:0]
 	}
-	prog(s.k, s.r)
-	err := s.k.Run()
-	return runOut{
-		schedule: s.k.ChoicesView(),
-		tr:       s.r.Snapshot(),
-		err:      err,
-		fps:      s.k.StepFingerprints(),
-		visible:  s.k.StepVisibility(),
-		deps:     s.k.DepAccesses(),
-		readyIDs: s.k.ReadySetIDs(),
-		causes:   s.k.ReadyCauses(),
-		streamVs: s.vs,
-		streamed: s.stream != nil,
-		slot:     s,
-	}
+	return e.finish(prog, s)
 }
 
 // runFrom executes prog resuming from a checkpoint: the kernel re-drives
@@ -221,6 +216,13 @@ func (e *executor) runFrom(prog Program, snap *kernel.Snapshot, prefix trace.Tra
 			}
 		}
 	}
+	return e.finish(prog, s)
+}
+
+// finish builds the program on a reset slot, runs it, and returns views
+// of what the run recorded.
+func (e *executor) finish(prog Program, s *runSlot) runOut {
+	e.executed.Add(1)
 	prog(s.k, s.r)
 	err := s.k.Run()
 	return runOut{
@@ -238,95 +240,411 @@ func (e *executor) runFrom(prog Program, snap *kernel.Snapshot, prefix trace.Tra
 	}
 }
 
-// randSlot holds the speculative outcome for one random seed.
-type randSlot struct {
-	claimed atomic.Bool
-	done    chan struct{}
-	out     runOut
+// outcome is what the driver needs to commit one executed schedule,
+// prepared by the worker that ran it. Unlike runOut it owns its memory,
+// so the kernel slot goes back to the pool as soon as nothing needs the
+// run any more.
+type outcome struct {
+	// The verdict. A deferred outcome (DFS with helpers) is committed
+	// before it is judged and joins the crew's judging queue; judged and
+	// taken are guarded by crew.mu, and res and found are valid once
+	// judged is set.
+	res    Result // the finding; Runs and Pruned are stamped by the driver
+	found  bool
+	judged bool
+	taken  bool // a worker is judging it
+	// run holds the slot while the run is still needed: until judged, or
+	// with Options.Checkpoint until the driver has captured snapshots from
+	// it at commit.
+	run runOut
+	// DFS only: the schedule, and with Prune or DPOR the fingerprints and
+	// visibility, each copied up to Options.DFSDepth — all that branching
+	// reads — plus the per-run half of DPOR.
+	sched   []kernel.Choice
+	fps     []uint64
+	visible []bool
+	race    dporRun
+	// The forecast (DPOR with Prune and helpers, speculative runs only):
+	// next is the node the driver is predicted to pop right after
+	// committing this run, claimable ahead of time; adds are the
+	// sleep-set entries this run's commit is predicted to add; up is the
+	// run's parent when the run itself was forecast. See
+	// dporState.predict.
+	next *task
+	adds []stateProc
+	up   *outcome
 }
 
-// randomPhase samples seeds 1..RandomRuns in seed order. Helpers claim
-// seeds through an atomic cursor and publish outcomes through per-slot
-// channels; the driver consumes slots in seed order, so the first finding
-// is always the lowest-seed finding — what the sequential scan reports.
+// worker is the private state of one crew member.
+type worker struct {
+	dpor dporScratch
+}
+
+// speculation bounds how far the crew may run ahead of the driver: at
+// most speculation × Workers claimed schedules await commit at once. The
+// DFS helpers run ahead on the siblings of the path the driver is
+// descending and on the forecasts below them, which the driver commits
+// only after the subtree it is in; on the deep readers/writers scenario
+// a bound of 256 per worker already leaves them idle most of the time.
+// An uncommitted outcome holds two to three kilobytes.
+const speculation = 512
+
+// forecastDepth bounds a chain of forecasts (outcome.next) below a
+// frontier node. A wrong forecast wastes the runs below it too.
+const forecastDepth = 4
+
+// verdictLag bounds how far deferred judging may trail the driver: at
+// most verdictLag × Workers committed runs await their verdict. Each
+// holds its kernel slot until judged.
+const verdictLag = 4
+
+type taskState uint8
+
+const (
+	taskFree    taskState = iota // not yet claimed
+	taskRunning                  // claimed; its outcome is being computed
+	taskDone                     // outcome published, awaiting commit
+)
+
+// task is one schedule of a phase's canonical order: a random seed or a
+// DFS frontier node.
+type task struct {
+	seed   int64           // random phase: the policy seed
+	prefix []kernel.Choice // DFS: the choice prefix to replay
+	// inherited marks a DFS node pushed by the reduction, whose commit
+	// recorded the sleep-set entries of the node's prefix (dpor.go).
+	inherited bool
+	// up is the parent's outcome of a forecast node (outcome.next), and
+	// level the number of forecasts from the frontier node above it.
+	up    *outcome
+	level int
+
+	// Guarded by crew.mu.
+	state   taskState
+	spec    bool // claimed ahead of the driver: holds a speculation slot
+	dropped bool // discarded by the driver while a helper ran it
+	out     *outcome
+}
+
+// crew coordinates one phase's workers. Helpers loop judging deferred
+// outcomes, or else claiming the next free task, executing it and
+// publishing its outcome; the driver awaits tasks and verdicts in
+// canonical order. A helper with nothing to do parks on wake; the driver,
+// waiting on work a helper holds, parks on ready.
+type crew struct {
+	e     *executor
+	next  func() *task // nearest free task in canonical order, or nil; mu held
+	exec  func(w *worker, t *task) *outcome
+	judge func(o *outcome) // fills in a deferred outcome's verdict and frees its run
+
+	mu      sync.Mutex
+	limit   int        // speculation slots
+	claimed int        // speculative tasks claimed and not yet committed
+	queue   []*outcome // deferred outcomes nobody is judging yet, oldest first
+	parked  int        // helpers waiting on wake
+	over    bool
+
+	wake  chan struct{} // one token per parked helper to rouse
+	ready chan struct{} // a helper published an outcome or a verdict
+	quit  chan struct{}
+	wg    sync.WaitGroup
+}
+
+func startCrew(e *executor, workers, helpers int, next func() *task, exec func(*worker, *task) *outcome, judge func(*outcome)) *crew {
+	c := &crew{
+		e:     e,
+		next:  next,
+		exec:  exec,
+		judge: judge,
+		limit: speculation * workers,
+		wake:  make(chan struct{}, helpers),
+		ready: make(chan struct{}, 1),
+		quit:  make(chan struct{}),
+	}
+	c.wg.Add(helpers)
+	for i := 0; i < helpers; i++ {
+		go c.help(&worker{})
+	}
+	return c
+}
+
+// stop ends the phase: helpers finish the job in hand and exit, and runs
+// left unjudged give their slots back. In-flight runs are bounded by
+// MaxSteps.
+func (c *crew) stop() {
+	c.mu.Lock()
+	c.over = true
+	c.mu.Unlock()
+	close(c.quit)
+	c.wg.Wait()
+	for _, o := range c.queue {
+		c.free(o)
+	}
+	c.queue = nil
+}
+
+// free releases o's kernel slot, if it still holds one.
+func (c *crew) free(o *outcome) {
+	c.e.release(o.run)
+	o.run = runOut{}
+}
+
+// signal tells the driver that something it may be waiting on is done.
+func (c *crew) signal() {
+	select {
+	case c.ready <- struct{}{}:
+	default: // the driver has a wakeup pending already
+	}
+}
+
+// claim takes the next free task speculatively, or returns nil when there
+// is none or every speculation slot is taken. mu must be held.
+func (c *crew) claim() *task {
+	if c.claimed >= c.limit {
+		return nil
+	}
+	t := c.next()
+	if t != nil {
+		t.state, t.spec = taskRunning, true
+		c.claimed++
+	}
+	return t
+}
+
+// take removes the oldest outcome awaiting judgement from the queue, or
+// returns nil. mu must be held.
+func (c *crew) take() *outcome {
+	if len(c.queue) == 0 {
+		return nil
+	}
+	o := c.queue[0]
+	c.queue[0] = nil
+	c.queue = c.queue[1:]
+	o.taken = true
+	return o
+}
+
+// wakeLocked rouses every parked helper. mu must be held.
+func (c *crew) wakeLocked() {
+	for ; c.parked > 0; c.parked-- {
+		select {
+		case c.wake <- struct{}{}:
+		default: // enough tokens already buffered
+		}
+	}
+}
+
+// freeLocked returns a committed or discarded task's speculation slot.
+// mu must be held.
+func (c *crew) freeLocked(t *task) {
+	if t.spec {
+		c.claimed--
+		c.wakeLocked()
+	}
+}
+
+// deferLocked queues an unjudged outcome for judging. mu must be held.
+func (c *crew) deferLocked(o *outcome) {
+	if !o.judged {
+		c.queue = append(c.queue, o)
+		c.wakeLocked()
+	}
+}
+
+func (c *crew) help(w *worker) {
+	defer c.wg.Done()
+	for {
+		c.mu.Lock()
+		if c.over {
+			c.mu.Unlock()
+			return
+		}
+		// Verdicts first: the driver commits them in order, and a judge
+		// is short next to a run.
+		if o := c.take(); o != nil {
+			c.mu.Unlock()
+			c.judgeOne(o)
+			continue
+		}
+		t := c.claim()
+		if t == nil {
+			c.parked++
+			c.mu.Unlock()
+			select {
+			case <-c.wake:
+			case <-c.quit:
+				return
+			}
+			continue
+		}
+		c.mu.Unlock()
+		c.publish(t, c.exec(w, t))
+		c.signal()
+	}
+}
+
+func (c *crew) judgeOne(o *outcome) {
+	c.judge(o)
+	c.mu.Lock()
+	o.judged = true
+	c.mu.Unlock()
+	c.signal()
+}
+
+func (c *crew) publish(t *task, o *outcome) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t.dropped {
+		c.free(o)
+		c.freeLocked(t)
+		return
+	}
+	t.out, t.state = o, taskDone
+	c.deferLocked(o)
+}
+
+// await returns the outcome of t, the driver's next task in canonical
+// order, and frees its speculation slot. A free t runs inline on the
+// driver. While a helper still holds t, the driver judges deferred
+// outcomes or executes other free tasks, and parks only when there is
+// neither.
+func (c *crew) await(w *worker, t *task, inline func() *outcome) *outcome {
+	for {
+		c.mu.Lock()
+		switch t.state {
+		case taskDone:
+			c.freeLocked(t)
+			c.mu.Unlock()
+			return t.out
+		case taskFree:
+			t.state = taskRunning
+			c.mu.Unlock()
+			o := inline()
+			c.mu.Lock()
+			c.deferLocked(o)
+			c.mu.Unlock()
+			return o
+		}
+		if o := c.take(); o != nil {
+			c.mu.Unlock()
+			c.judgeOne(o)
+			continue
+		}
+		o := c.claim()
+		c.mu.Unlock()
+		if o == nil {
+			<-c.ready
+			continue
+		}
+		c.publish(o, c.exec(w, o))
+	}
+}
+
+// judged reports whether o's verdict is in.
+func (c *crew) judged(o *outcome) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return o.judged
+}
+
+// verdict waits for o's verdict, judging o on the driver when no helper
+// has taken it yet.
+func (c *crew) verdict(o *outcome) {
+	for {
+		c.mu.Lock()
+		if o.judged {
+			c.mu.Unlock()
+			return
+		}
+		if !o.taken {
+			for i, q := range c.queue {
+				if q == o {
+					c.queue = append(c.queue[:i], c.queue[i+1:]...)
+					break
+				}
+			}
+			o.taken = true
+			c.mu.Unlock()
+			c.judgeOne(o)
+			return
+		}
+		c.mu.Unlock()
+		<-c.ready
+	}
+}
+
+// drop discards a task the driver will not commit, with the forecast
+// chain below it.
+func (c *crew) drop(t *task) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dropLocked(t)
+}
+
+// dropLocked is drop with mu held.
+func (c *crew) dropLocked(t *task) {
+	for t != nil {
+		var next *task
+		switch t.state {
+		case taskRunning:
+			t.dropped = true // its helper frees the slot on publish
+		case taskDone:
+			next = t.out.next
+			// A queued outcome is judged anyway; nobody reads the verdict.
+			if t.out.judged {
+				c.free(t.out)
+			}
+			c.freeLocked(t)
+		}
+		t = next
+	}
+}
+
+// randomPhase samples seeds 1..RandomRuns. Workers claim seeds in
+// ascending order; the driver commits them in seed order, so the first
+// finding is always the lowest-seed finding — what the sequential scan
+// reports.
 func randomPhase(e *executor, prog Program, oracle Oracle, opts Options, t *tracker) (Result, bool) {
 	n := opts.RandomRuns
 	if n == 0 {
 		return Result{}, false
 	}
 	t.phase("random")
-	helpers := opts.Workers - 1
-	if helpers > n-1 {
-		helpers = n - 1
+	tasks := make([]task, n)
+	for i := range tasks {
+		tasks[i].seed = int64(i + 1)
 	}
-	var (
-		slots  []randSlot
-		cancel atomic.Bool
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-	)
-	if helpers > 0 {
-		slots = make([]randSlot, n)
-		for i := range slots {
-			slots[i].done = make(chan struct{})
+	cursor := 0
+	next := func() *task {
+		for cursor < n && tasks[cursor].state != taskFree {
+			cursor++
 		}
-		wg.Add(helpers)
-		for w := 0; w < helpers; w++ {
-			go func() {
-				defer wg.Done()
-				for !cancel.Load() {
-					i := int(cursor.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					s := &slots[i]
-					if !s.claimed.CompareAndSwap(false, true) {
-						continue // driver ran this seed inline
-					}
-					s.out = e.run(prog, kernel.Random(int64(i+1)))
-					close(s.done)
-				}
-			}()
+		if cursor == n {
+			return nil
 		}
-		// Stop helpers before returning so goroutines never outlive the
-		// phase; in-flight runs are bounded by MaxSteps.
-		defer func() {
-			cancel.Store(true)
-			wg.Wait()
-		}()
+		return &tasks[cursor]
 	}
-	for i := 0; i < n; i++ {
-		var out runOut
-		if helpers > 0 && !slots[i].claimed.CompareAndSwap(false, true) {
-			<-slots[i].done // claimed by a helper; adopt its outcome
-			out = slots[i].out
-		} else {
-			out = e.run(prog, kernel.Random(int64(i+1)))
-		}
-		t.ran()
-		if res, found := judge(out, oracle, opts, t.st.Runs); found {
-			return res, true
-		}
+	run := func(seed int64) *outcome {
+		out := e.run(prog, kernel.Random(seed))
+		o := &outcome{judged: true}
+		o.res, o.found = judge(out, oracle, opts)
 		e.release(out)
+		return o
+	}
+	c := startCrew(e, opts.Workers, min(opts.Workers-1, n-1), next,
+		func(_ *worker, tk *task) *outcome { return run(tk.seed) }, nil)
+	defer c.stop()
+	w := &worker{}
+	for i := range tasks {
+		tk := &tasks[i]
+		o := c.await(w, tk, func() *outcome { return run(tk.seed) })
+		t.ran()
+		if o.found {
+			o.res.Runs = t.st.Runs
+			return o.res, true
+		}
 	}
 	return Result{}, false
-}
-
-// dfsNode is one frontier entry: a choice prefix to replay, plus the
-// claim/publish machinery for speculative execution.
-type dfsNode struct {
-	prefix  []kernel.Choice
-	claimed atomic.Bool
-	done    chan struct{} // nil when running without helpers
-	out     runOut
-}
-
-// dfsShared is the frontier shared between the DFS driver and helpers.
-type dfsShared struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	stack []*dfsNode
-	over  bool
 }
 
 // auditSet summarizes what a DFS pass found, for the PruneAudit
@@ -334,26 +652,17 @@ type dfsShared struct {
 // kernel errors.
 type auditSet map[string]bool
 
-func (s auditSet) addRun(out runOut, oracle Oracle, opts Options) {
-	if out.err != nil {
-		if opts.IgnoreKernelErrors {
-			return
-		}
-		if errors.Is(out.err, kernel.ErrDeadlock) {
-			s["kernel-error:deadlock"] = true
-		} else {
-			s["kernel-error"] = true
-		}
-		return
-	}
-	if out.streamed {
-		for _, v := range out.streamVs {
+// add records a finding's verdict, as judged by the worker that ran it.
+func (s auditSet) add(res Result) {
+	switch {
+	case res.Err == nil:
+		for _, v := range res.Violations {
 			s[v.Rule] = true
 		}
-		return
-	}
-	for _, v := range oracle(out.tr) {
-		s[v.Rule] = true
+	case errors.Is(res.Err, kernel.ErrDeadlock):
+		s["kernel-error:deadlock"] = true
+	default:
+		s["kernel-error"] = true
 	}
 }
 
@@ -401,6 +710,17 @@ func dfsAudit(e *executor, prog Program, oracle Oracle, opts Options, t *tracker
 	return res
 }
 
+// scanCounters are a DFS scan's running counters. The driver snapshots
+// them as of each committed run, before its expansion: that is what
+// Progress reports when the run's verdict is processed, and what a
+// finding there reports.
+type scanCounters struct {
+	frontier, pruned        int
+	backtrack, blocked      int
+	forks                   int
+	savedSteps, replaySteps int64
+}
+
 // dfsScan is the DFS engine. prune enables fingerprint-based subtree
 // skipping; dpor replaces exhaustive branching with happens-before
 // driven backtrack points (see dpor.go); collect runs the full budget
@@ -408,32 +728,129 @@ func dfsAudit(e *executor, prog Program, oracle Oracle, opts Options, t *tracker
 // at the first one. The returned Result is the first finding either
 // way, so collect=false and collect=true agree on everything a caller
 // of Run can observe.
+//
+// With helpers, a run's verdict is deferred: the driver commits its
+// expansion as soon as its analysis is in and processes verdicts in
+// order as they arrive, so judging stays off the path of runs that
+// depend on each other. If a verdict turns out to be a finding, whatever
+// was committed after it is discarded and the counters are restored to
+// the snapshot taken at it, exactly as if the scan had stopped there.
 func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker, prune, dpor, collect bool) (Result, auditSet) {
 	found := auditSet{}
 	if opts.DFSRuns <= 0 {
 		return Result{Runs: t.st.Runs}, found
 	}
-	helpers := opts.Workers - 1
-	st := &dfsShared{}
-	st.cond = sync.NewCond(&st.mu)
-	st.stack = []*dfsNode{newDFSNode(nil, helpers > 0)}
-	if helpers > 0 {
-		var wg sync.WaitGroup
-		wg.Add(helpers)
-		for w := 0; w < helpers; w++ {
-			go func() {
-				defer wg.Done()
-				dfsHelper(e, prog, st)
-			}()
-		}
-		defer func() {
-			st.mu.Lock()
-			st.over = true
-			st.mu.Unlock()
-			st.cond.Broadcast()
-			wg.Wait()
-		}()
+	// The checkpoint registry (Options.Checkpoint) is per-scan, so the
+	// audit's reference pass shares nothing with the pruned pass.
+	var reg *ckptRegistry
+	if opts.Checkpoint {
+		reg = newCkptRegistry(opts.CheckpointBudget)
 	}
+	helpers := opts.Workers - 1
+	// Checkpoint registration needs the verdict at commit, and one worker
+	// has no one to hand judging to.
+	deferred := helpers > 0 && reg == nil
+	// Forecasting needs helpers to run the forecasts and, for now, the
+	// state-keyed sleep sets of DPOR with Prune.
+	forecast := deferred && dpor && prune
+	depth := opts.DFSDepth
+	// settle is the per-run work every worker does: judge (unless
+	// deferred), copy out what branching reads, analyze races, and
+	// release the kernel slot unless the run is still needed.
+	settle := func(w *worker, out runOut) *outcome {
+		o := &outcome{sched: clip(out.schedule, depth)}
+		if !deferred {
+			o.res, o.found = judge(out, oracle, opts)
+			o.judged = true
+		}
+		if prune || dpor {
+			o.fps, o.visible = clip(out.fps, depth), clip(out.visible, depth)
+		}
+		if dpor {
+			o.race = w.dpor.analyze(out, depth, prune)
+		}
+		if deferred || reg != nil {
+			o.run = out
+		} else {
+			e.release(out)
+		}
+		return o
+	}
+
+	// The DPOR state (sleep-set memory and analysis scratch) is per-scan
+	// like the pruner's maps, so the audit's reference pass shares nothing
+	// with the reduced pass.
+	var dp *dporState
+	if dpor {
+		dp = newDPORState()
+	}
+	// reforecast checks a forecast f of parent, still unclaimed, against
+	// the sleep-set memory as it stands now, which has grown since the
+	// forecast was made, and replaces it when it no longer holds.
+	reforecast := func(parent, f *task) *task {
+		pr, ok := dp.predict(parent, parent.out, depth)
+		if ok && len(f.prefix) == pr.i+1 && f.prefix[pr.i].Picked == pr.alt {
+			return f
+		}
+		parent.out.next = nil
+		if ok {
+			parent.out.next = &task{prefix: branchAt(parent.out.sched, pr.i, pr.alt), inherited: true, up: parent.out, level: f.level}
+		}
+		return parent.out.next
+	}
+	// The frontier, and the reach of speculation into it: the runs left
+	// in the budget, as nodes deeper than that are never popped. Claims go
+	// in canonical order, from the top of the stack down, each node
+	// followed by the chain of forecasts below it. Guarded by the crew's
+	// mutex, like the forecast links.
+	stack := []*task{{}}
+	reach := opts.DFSRuns
+	next := func() *task {
+		budget := reach
+		for i := len(stack) - 1; i >= 0 && budget > 0; i-- {
+			var parent *task
+			for t := stack[i]; t != nil && budget > 0; budget-- {
+				if t.state == taskFree {
+					if parent != nil {
+						t = reforecast(parent, t)
+					}
+					if t != nil {
+						return t
+					}
+					break
+				}
+				if t.state != taskDone {
+					break
+				}
+				parent, t = t, t.out.next
+			}
+		}
+		return nil
+	}
+	c := startCrew(e, opts.Workers, helpers, next,
+		func(w *worker, tk *task) *outcome {
+			o := settle(w, e.run(prog, kernel.Replay(tk.prefix)))
+			if forecast && tk.level < forecastDepth {
+				o.up = tk.up
+				if pr, ok := dp.predict(tk, o, depth); ok {
+					o.next = &task{prefix: branchAt(o.sched, pr.i, pr.alt), inherited: true, up: o, level: tk.level + 1}
+				}
+			}
+			return o
+		},
+		func(o *outcome) {
+			o.res, o.found = judge(o.run, oracle, opts)
+			e.release(o.run)
+			o.run = runOut{}
+		})
+	defer func() {
+		c.stop()
+		for _, tk := range stack {
+			if tk.out != nil {
+				c.free(tk.out)
+			}
+		}
+	}()
 
 	// seen dedups frontier prefixes by compact binary key; dedup happens
 	// at pop time (not push time) to preserve the sequential engine's
@@ -445,33 +862,70 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 	if prune {
 		expanded = map[uint64]bool{}
 	}
-	// The DPOR state (sleep-set memory and analysis scratch) is per-scan
-	// like the pruner's maps, so the audit's reference pass shares nothing
-	// with the reduced pass.
-	var dp *dporState
-	if dpor {
-		dp = newDPORState()
+	// pending holds the committed runs whose verdicts are not processed
+	// yet, in canonical order, each with the counters as of its commit.
+	type pendingRun struct {
+		o  *outcome
+		at scanCounters
 	}
-	// The checkpoint registry (Options.Checkpoint) is per-scan, so the
-	// audit's reference pass shares nothing with the pruned pass.
-	var reg *ckptRegistry
-	if opts.Checkpoint {
-		reg = newCkptRegistry(opts.CheckpointBudget)
+	var (
+		pending []pendingRun
+		first   Result
+	)
+	live := scanCounters{
+		backtrack: t.st.BacktrackPoints, blocked: t.st.DPORBlocked,
+		forks: t.st.CheckpointForks, savedSteps: t.st.SavedSteps, replaySteps: t.st.ReplayedSteps,
 	}
-	pruned := 0
-	var keyBuf []byte
-	var first Result
-	dfsRuns := 0 // explicit budget counter: at most DFSRuns schedules execute
-	for dfsRuns < opts.DFSRuns {
-		st.mu.Lock()
-		if len(st.stack) == 0 {
-			st.mu.Unlock()
-			break
+	// verdicts processes pending verdicts in order: every one already in,
+	// and, waiting if need be, as many as it takes to leave at most keep
+	// pending. It reports the finding that ends the scan, if any.
+	verdicts := func(keep int) (Result, bool) {
+		for len(pending) > 0 {
+			p := pending[0]
+			if len(pending) > keep {
+				c.verdict(p.o)
+			} else if !c.judged(p.o) {
+				break
+			}
+			pending[0] = pendingRun{}
+			pending = pending[1:]
+			t.st.Frontier, t.st.Pruned = p.at.frontier, p.at.pruned
+			t.st.BacktrackPoints, t.st.DPORBlocked = p.at.backtrack, p.at.blocked
+			t.st.CheckpointForks, t.st.SavedSteps, t.st.ReplayedSteps = p.at.forks, p.at.savedSteps, p.at.replaySteps
+			t.ran()
+			if !p.o.found {
+				continue
+			}
+			res := p.o.res
+			res.Runs, res.Pruned = t.st.Runs, p.at.pruned
+			if !collect {
+				return res, true
+			}
+			found.add(res)
+			if !first.Found {
+				first = res
+			}
 		}
-		node := st.stack[len(st.stack)-1]
-		st.stack = st.stack[:len(st.stack)-1]
-		t.st.Frontier = len(st.stack)
-		st.mu.Unlock()
+		return Result{}, false
+	}
+	keep := 0
+	if deferred {
+		keep = verdictLag * opts.Workers
+	}
+
+	w := &worker{}
+	var keyBuf []byte
+	dfsRuns := 0 // explicit budget counter: at most DFSRuns schedules are committed
+	// The driver pops its next node in the same critical section as it
+	// pushes the children of the last one, so no helper claims the node
+	// the driver is about to pop.
+	c.mu.Lock()
+	for dfsRuns < opts.DFSRuns && len(stack) > 0 {
+		node := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		live.frontier = len(stack)
+		reach = opts.DFSRuns - dfsRuns - 1
+		c.mu.Unlock()
 
 		// Build the node's binary key so that its branch-point prefix —
 		// the node minus its final (branching) choice — is the leading
@@ -492,97 +946,101 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 			ent = reg.take(keyBuf[:branchEnd])
 		}
 		if seen[string(keyBuf)] {
+			c.drop(node)
+			c.mu.Lock()
 			continue
 		}
 		seen[string(keyBuf)] = true
 
-		var out runOut
-		if node.claimed.CompareAndSwap(false, true) {
+		o := c.await(w, node, func() *outcome {
 			if ent != nil {
-				out = e.runFrom(prog, ent.snap, ent.events, kernel.Replay(node.prefix[ent.depth:]))
-			} else {
-				out = e.run(prog, kernel.Replay(node.prefix))
+				return settle(w, e.runFrom(prog, ent.snap, ent.events, kernel.Replay(node.prefix[ent.depth:])))
 			}
-		} else {
-			<-node.done // claimed by a helper; adopt its outcome
-			out = node.out
-		}
+			return settle(w, e.run(prog, kernel.Replay(node.prefix)))
+		})
 		dfsRuns++
 		if reg != nil {
 			// Canonical accounting: a helper may have executed this run
 			// by full replay, but the counters follow the driver's fork
 			// decision so they are identical for every worker count.
 			if ent != nil {
-				t.forked(ent.depth, n-ent.depth)
+				live.forks++
+				live.savedSteps += int64(ent.depth)
+				live.replaySteps += int64(n - ent.depth)
 			} else {
-				t.replayed(n)
+				live.replaySteps += int64(n)
 			}
 		}
-		t.st.Pruned = pruned
-		t.ran()
-		res, isFinding := judge(out, oracle, opts, t.st.Runs)
-		if isFinding {
-			if !collect {
-				res.Pruned = pruned
-				return res, found
-			}
-			found.addRun(out, oracle, opts)
-			if !first.Found {
-				first = res
-				first.Pruned = pruned
-			}
-		}
+		pending = append(pending, pendingRun{o: o, at: live})
 
 		// Branch: for each decision point within depth (at or beyond the
 		// prefix), schedule the alternatives not taken — or, with DPOR,
-		// only the backtrack points the run's dependency trace demands.
-		// Push order matches the sequential engine, so LIFO pops explore
-		// the same tree.
-		var children []*dfsNode
+		// only the backtrack points the run's races demand. Push order
+		// matches the sequential engine, so LIFO pops explore the same
+		// tree.
+		var children []*task
 		if dp != nil {
 			var blocked int
-			children, blocked = dp.expand(node.prefix, out, opts.DFSDepth, helpers > 0, expanded, &pruned)
-			t.st.BacktrackPoints += len(children)
-			t.st.DPORBlocked += blocked
+			children, blocked = dp.expand(node, o, depth, expanded, &live.pruned)
+			live.backtrack += len(children)
+			live.blocked += blocked
 		} else {
-			children = expandDFS(node.prefix, out, opts.DFSDepth, helpers > 0, expanded, &pruned)
+			children = expandDFS(node.prefix, o, depth, expanded, &live.pruned)
 		}
-		if reg != nil && !isFinding && out.err == nil {
-			reg.registerRun(out, children)
+		res, stop := verdicts(keep)
+		if reg != nil {
+			if !stop && !o.found && o.run.err == nil {
+				reg.registerRun(o.run, children)
+			}
+			c.free(o)
 		}
-		e.release(out)
+		if stop {
+			return res, found
+		}
+		c.mu.Lock()
+		// Adopt the forecast first child when it came true. Its parent is
+		// committed now, so a forecast not yet claimed starts a fresh
+		// chain.
+		if f := o.next; f != nil {
+			if k := len(children); k > 0 && slices.Equal(children[k-1].prefix, f.prefix) {
+				if f.state == taskFree {
+					f.up, f.level = nil, 0
+				}
+				children[k-1] = f
+			} else {
+				c.dropLocked(f)
+			}
+		}
 		if len(children) > 0 {
-			st.mu.Lock()
-			st.stack = append(st.stack, children...)
-			t.st.Frontier = len(st.stack)
-			st.mu.Unlock()
-			st.cond.Broadcast()
+			stack = append(stack, children...)
+			live.frontier = len(stack)
+			c.wakeLocked()
 		}
+	}
+	// The frontier emptied before the budget ran out: every schedule the
+	// (possibly reduced) search wanted to run has been run.
+	exhausted := len(stack) == 0
+	c.mu.Unlock()
+	if res, stop := verdicts(0); stop {
+		return res, found
 	}
 	t.st.Frontier = 0
-	st.mu.Lock()
-	if len(st.stack) == 0 {
-		// The frontier emptied before the budget ran out: every schedule
-		// the (possibly reduced) search wanted to run has been run.
-		t.st.Exhausted = true
-	}
-	st.mu.Unlock()
+	t.st.BacktrackPoints, t.st.DPORBlocked = live.backtrack, live.blocked
+	t.st.CheckpointForks, t.st.SavedSteps, t.st.ReplayedSteps = live.forks, live.savedSteps, live.replaySteps
+	t.st.Exhausted = exhausted
 	if !first.Found {
 		first.Runs = t.st.Runs
-		first.Pruned = pruned
+		first.Pruned = live.pruned
 	}
 	return first, found
 }
 
-func newDFSNode(prefix []kernel.Choice, parallel bool) *dfsNode {
-	n := &dfsNode{prefix: prefix}
-	if parallel {
-		n.done = make(chan struct{})
-	}
-	return n
+// clip copies the first min(len(s), n) elements of s.
+func clip[T any](s []T, n int) []T {
+	return append([]T(nil), s[:min(len(s), n)]...)
 }
 
-// expandDFS builds the branch nodes of a completed run: every alternative
+// expandDFS builds the branch nodes of a committed run: every alternative
 // choice not taken at each decision point from the end of the prefix up
 // to the depth bound.
 //
@@ -602,79 +1060,46 @@ func newDFSNode(prefix []kernel.Choice, parallel bool) *dfsNode {
 // Skipped sibling counts accumulate into *pruned for reporting. The
 // fingerprint is a heuristic abstraction (see kernel.Fingerprint);
 // Options.PruneAudit cross-checks that pruning lost no violation.
-func expandDFS(prefix []kernel.Choice, out runOut, depth int, parallel bool, expanded map[uint64]bool, pruned *int) []*dfsNode {
-	schedule := out.schedule
-	limit := len(schedule)
-	if limit > depth {
-		limit = depth
-	}
+func expandDFS(prefix []kernel.Choice, o *outcome, depth int, expanded map[uint64]bool, pruned *int) []*task {
+	schedule := o.sched
+	limit := min(len(schedule), depth)
 	if expanded != nil {
 		// Defensive: views are aligned on every judged path, but never
 		// index past what the kernel recorded.
-		if limit > len(out.visible) {
-			limit = len(out.visible)
-		}
-		if limit > len(out.fps) {
-			limit = len(out.fps)
-		}
+		limit = min(limit, len(o.visible), len(o.fps))
 	}
-	var children []*dfsNode
+	var children []*task
 	for i := len(prefix); i < limit; i++ {
 		if schedule[i].Ready < 2 {
 			continue // no alternatives existed
 		}
 		if expanded != nil {
-			if !out.visible[i] {
+			if !o.visible[i] {
 				*pruned += schedule[i].Ready - 1
 				continue
 			}
-			if expanded[out.fps[i]] {
+			if expanded[o.fps[i]] {
 				*pruned += schedule[i].Ready - 1
 				continue
 			}
-			expanded[out.fps[i]] = true
+			expanded[o.fps[i]] = true
 		}
 		for alt := 0; alt < schedule[i].Ready; alt++ {
 			if alt == schedule[i].Picked {
 				continue
 			}
-			branch := make([]kernel.Choice, i+1)
-			copy(branch, schedule[:i])
-			branch[i] = kernel.Choice{Ready: schedule[i].Ready, Picked: alt}
-			children = append(children, newDFSNode(branch, parallel))
+			children = append(children, &task{prefix: branchAt(schedule, i, alt)})
 		}
 	}
 	return children
 }
 
-// dfsHelper speculatively executes unclaimed frontier entries, scanning
-// from the top of the stack (the driver's next pops). It parks on the
-// condition variable when everything visible is claimed and exits when the
-// phase is over.
-func dfsHelper(e *executor, prog Program, st *dfsShared) {
-	for {
-		st.mu.Lock()
-		var node *dfsNode
-		for {
-			if st.over {
-				st.mu.Unlock()
-				return
-			}
-			for i := len(st.stack) - 1; i >= 0; i-- {
-				if st.stack[i].claimed.CompareAndSwap(false, true) {
-					node = st.stack[i]
-					break
-				}
-			}
-			if node != nil {
-				break
-			}
-			st.cond.Wait()
-		}
-		st.mu.Unlock()
-		node.out = e.run(prog, kernel.Replay(node.prefix))
-		close(node.done)
-	}
+// branchAt returns schedule[:i] followed by alternative alt at decision i.
+func branchAt(schedule []kernel.Choice, i, alt int) []kernel.Choice {
+	branch := make([]kernel.Choice, i+1)
+	copy(branch, schedule[:i])
+	branch[i] = kernel.Choice{Ready: schedule[i].Ready, Picked: alt}
+	return branch
 }
 
 // appendScheduleKey appends a compact binary encoding of the choice

@@ -91,10 +91,15 @@ type Stats struct {
 	// worker-dependent; observability only, never part of Result.Stats.
 	PoolSlots  int
 	PoolReuses int
+	// Executed is the number of runs any worker has executed, shrink
+	// replays included. Executed − Runs − ShrinkRuns is the speculation
+	// wasted so far: runs executed ahead of the driver that it has not
+	// committed (yet, or ever). Worker-dependent; observability only.
+	Executed int
 }
 
 // tracker owns the engine's Stats and feeds Options.Progress. It lives on
-// the driver: every mutation happens on the single goroutine that judges
+// the driver: every mutation happens on the single goroutine that commits
 // runs, so no locking is needed, and the counter stream is identical for
 // every worker count.
 type tracker struct {
@@ -140,21 +145,6 @@ func (t *tracker) shrank(bestLen int) {
 	t.emit()
 }
 
-// forked records one DFS run that forked from a checkpoint: saved prefix
-// steps were served from the snapshot, replayed steps ran the full
-// pipeline.
-func (t *tracker) forked(saved, replayed int) {
-	t.st.CheckpointForks++
-	t.st.SavedSteps += int64(saved)
-	t.st.ReplayedSteps += int64(replayed)
-}
-
-// replayed records one DFS run that replayed its whole prefix from the
-// root (no usable checkpoint).
-func (t *tracker) replayed(prefix int) {
-	t.st.ReplayedSteps += int64(prefix)
-}
-
 // noteCoverage records the scenario's schedule-space size, measured once
 // from the baseline run's happens-before order.
 func (t *tracker) noteCoverage(log2 float64, exact bool) {
@@ -175,6 +165,7 @@ func (t *tracker) emit() {
 		s.RunsPerSec = float64(s.Runs+s.ShrinkRuns) / secs
 	}
 	s.PoolSlots, s.PoolReuses = t.e.poolStats()
+	s.Executed = int(t.e.executed.Load())
 	t.progress(s)
 }
 
