@@ -26,7 +26,7 @@ lint:
 	$(GO) run ./cmd/synclint ./...
 
 # bench runs the E1 exploration benchmarks — throughput variants, the
-# checkpointed-DFS pooled/stream/checkpoint column, and the DPOR
+# deep-DFS batch/stream column, and the DPOR
 # schedules-to-finding/-exhaustion hunts — and archives the numbers
 # (ns/op, allocs/op, schedules/sec, schedules-to-finding,
 # schedules-to-exhaustion, explored-fraction per variant) into
@@ -133,7 +133,7 @@ fuzz:
 # is the success check).
 hunt:
 	-$(GO) run ./cmd/simtrace -mech pathexpr -problem readers-priority \
-		-explore -shrink -pool -progress -save-sched figure1-found.sched -quiet
+		-explore -shrink -progress -save-sched figure1-found.sched -quiet
 	$(GO) run ./cmd/simtrace -replay figure1-found.sched
 
 # dpor-audit proves the partial-order reduction sound on this tree: the

@@ -93,40 +93,27 @@ func benchExploreThroughput(b *testing.B, opts explore.Options) {
 // follows GOMAXPROCS, so `-cpu 1,2,4` sweeps the scaling curve) and with
 // the engine pinned sequential (the speedup baseline). Results are
 // identical across worker counts by construction; only throughput moves.
+// Runs are always recycled; the -pool suffix names the configuration the
+// committed baseline has tracked since recycling was opt-in.
 func BenchmarkE1ExploreThroughput(b *testing.B) {
 	const budget = 64
-	b.Run("random", func(b *testing.B) {
+	b.Run("random-pool", func(b *testing.B) {
 		benchExploreThroughput(b, explore.Options{RandomRuns: budget, DFSRuns: 0})
 	})
-	b.Run("random-seq", func(b *testing.B) {
+	b.Run("random-seq-pool", func(b *testing.B) {
 		benchExploreThroughput(b, explore.Options{RandomRuns: budget, DFSRuns: 0, Workers: 1})
 	})
-	b.Run("dfs", func(b *testing.B) {
+	b.Run("dfs-pool", func(b *testing.B) {
 		benchExploreThroughput(b, explore.Options{RandomRuns: -1, DFSRuns: budget})
 	})
-	b.Run("dfs-seq", func(b *testing.B) {
+	b.Run("dfs-seq-pool", func(b *testing.B) {
 		benchExploreThroughput(b, explore.Options{RandomRuns: -1, DFSRuns: budget, Workers: 1})
 	})
-	// Run recycling (Options.Pool): same schedules, same Result, but
-	// kernels/recorders/buffers are reused across runs instead of
-	// reallocated. Compare each -pool line against its sibling above.
-	b.Run("random-pool", func(b *testing.B) {
-		benchExploreThroughput(b, explore.Options{RandomRuns: budget, DFSRuns: 0, Pool: true})
-	})
-	b.Run("random-seq-pool", func(b *testing.B) {
-		benchExploreThroughput(b, explore.Options{RandomRuns: budget, DFSRuns: 0, Workers: 1, Pool: true})
-	})
-	b.Run("dfs-pool", func(b *testing.B) {
-		benchExploreThroughput(b, explore.Options{RandomRuns: -1, DFSRuns: budget, Pool: true})
-	})
-	b.Run("dfs-seq-pool", func(b *testing.B) {
-		benchExploreThroughput(b, explore.Options{RandomRuns: -1, DFSRuns: budget, Workers: 1, Pool: true})
-	})
-	// Fingerprint pruning (Options.Prune) collapses the DFS frontier on
-	// top of pooling; schedules/sec also reflects that fewer (deduped)
-	// schedules need executing at all to cover the same space.
+	// Fingerprint pruning (Options.Prune) collapses the DFS frontier;
+	// schedules/sec also reflects that fewer (deduped) schedules need
+	// executing at all to cover the same space.
 	b.Run("dfs-seq-pool-prune", func(b *testing.B) {
-		benchExploreThroughput(b, explore.Options{RandomRuns: -1, DFSRuns: budget, Workers: 1, Pool: true, Prune: true})
+		benchExploreThroughput(b, explore.Options{RandomRuns: -1, DFSRuns: budget, Workers: 1, Prune: true})
 	})
 }
 
@@ -135,12 +122,7 @@ func BenchmarkE1ExploreThroughput(b *testing.B) {
 // 80 intervals, no artificial yields), whose runs produce long traces
 // relative to their scheduling steps. That trace density is what deep
 // hunts look like: the per-run cost is dominated by recording and
-// judging the operation history, exactly the work that replay-from-root
-// engines redo for the shared prefix of every sibling schedule. The
-// checkpointed engine forks from a snapshot at the branch point
-// instead: prefix events are served canned from the checkpoint and the
-// per-step scheduling pipeline is skipped, so only the suffix pays full
-// freight.
+// judging the operation history.
 func benchDeepDFS(b *testing.B, opts explore.Options) {
 	suite, _ := solutions.ByMechanism("monitor")
 	cfg := problems.RWConfig{Readers: 12, Writers: 8, Rounds: 4}
@@ -150,36 +132,26 @@ func benchDeepDFS(b *testing.B, opts explore.Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	total := 0
-	var last explore.StatsCore
 	for i := 0; i < b.N; i++ {
 		res := explore.Run(prog, problems.CheckReadersPriority, opts)
 		if res.Found {
 			b.Fatal("unexpected finding")
 		}
 		total += res.Runs
-		last = res.Stats
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "schedules/sec")
-	if opts.Checkpoint {
-		b.ReportMetric(float64(last.CheckpointForks), "forks/hunt")
-		b.ReportMetric(float64(last.SavedSteps), "saved-steps/hunt")
-		b.ReportMetric(float64(last.ReplayedSteps), "replayed-steps/hunt")
-	}
 }
 
-// BenchmarkE1CheckpointDFS compares checkpointed DFS against the
-// replay-from-root engines it is byte-identical to (see
-// TestCheckpointMatchesReplay): `pooled` is the PR 3 baseline (run
-// recycling only), `pooled-stream` adds incremental judging, and
-// `checkpoint` adds prefix sharing on top of both. All three execute
-// the same schedule budget and return the same Result.
-func BenchmarkE1CheckpointDFS(b *testing.B) {
+// BenchmarkE1DeepDFS runs the deep DFS with batch judging (`pooled`) and
+// with incremental judging (`pooled-stream`). Both execute the same
+// schedule budget and return the same Result.
+func BenchmarkE1DeepDFS(b *testing.B) {
 	const budget = 64
 	inc, ok := problems.IncrementalOracleFor(problems.NameReadersPriority)
 	if !ok {
 		b.Fatal("no incremental oracle for readers-priority")
 	}
-	base := explore.Options{RandomRuns: -1, DFSRuns: budget, DFSDepth: 48, Workers: 1, Pool: true}
+	base := explore.Options{RandomRuns: -1, DFSRuns: budget, DFSDepth: 48, Workers: 1}
 	b.Run("pooled", func(b *testing.B) {
 		benchDeepDFS(b, base)
 	})
@@ -188,12 +160,36 @@ func BenchmarkE1CheckpointDFS(b *testing.B) {
 		opts.Stream = inc.New
 		benchDeepDFS(b, opts)
 	})
-	b.Run("checkpoint", func(b *testing.B) {
-		opts := base
-		opts.Stream = inc.New
-		opts.Checkpoint = true
-		benchDeepDFS(b, opts)
-	})
+}
+
+// BenchmarkE1Replay measures one-shot replay (explore.Replay), the call
+// that renders findings, verifies schedule artifacts and warms a search's
+// cells: one op replays the deep readers/writers scenario under FIFO for
+// every mechanism on readers-priority, writers-priority and fcfs-rw.
+func BenchmarkE1Replay(b *testing.B) {
+	cfg := problems.RWConfig{Readers: 3, Writers: 2, Rounds: 1, ReadYields: 6, WriteYields: 1, GapYields: 1}
+	var progs []explore.Program
+	for _, s := range solutions.All() {
+		for _, problem := range []string{problems.NameReadersPriority, problems.NameWritersPriority, problems.NameFCFSRW} {
+			newDB, ok := solutions.RWConstructor(s, problem)
+			if !ok {
+				b.Fatalf("no %s solution for %s", problem, s.Mechanism)
+			}
+			progs = append(progs, func(k kernel.Kernel, r *trace.Recorder) {
+				_ = problems.SpawnRW(k, newDB(k), r, cfg) // cfg is valid
+			})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, prog := range progs {
+			if _, err := explore.Replay(prog, nil, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.N*len(progs))/b.Elapsed().Seconds(), "schedules/sec")
 }
 
 // benchSchedulesToFinding hunts the Figure-1 anomaly in a scaled
@@ -270,7 +266,7 @@ func benchSchedulesToExhaustion(b *testing.B, opts explore.Options) {
 // schedules-to-finding and schedules-to-exhaustion downward and
 // explored-fraction upward.
 func BenchmarkE1SchedulesToFinding(b *testing.B) {
-	base := explore.Options{RandomRuns: -1, DFSRuns: 200000, DFSDepth: 48, Workers: 1, Pool: true, Prune: true}
+	base := explore.Options{RandomRuns: -1, DFSRuns: 200000, DFSDepth: 48, Workers: 1, Prune: true}
 	b.Run("prune", func(b *testing.B) {
 		benchSchedulesToFinding(b, base)
 	})
@@ -279,7 +275,7 @@ func BenchmarkE1SchedulesToFinding(b *testing.B) {
 		opts.DPOR = true
 		benchSchedulesToFinding(b, opts)
 	})
-	exhaust := explore.Options{RandomRuns: -1, DFSRuns: 500000, Workers: 1, Pool: true, Prune: true}
+	exhaust := explore.Options{RandomRuns: -1, DFSRuns: 500000, Workers: 1, Prune: true}
 	b.Run("exhaust-prune", func(b *testing.B) {
 		benchSchedulesToExhaustion(b, exhaust)
 	})
@@ -450,7 +446,7 @@ func TestBenchHarnessSmoke(t *testing.T) {
 	if !out.NaiveDeadlocks || !out.StructuredCompletes {
 		t.Fatalf("nested monitor experiment: %+v", out)
 	}
-	res := eval.RunFigure1()
+	res := eval.RunFigure1(explore.Options{})
 	if !res.AnomalyFound {
 		t.Fatalf("figure-1 anomaly not reproduced (%d runs)", res.Runs)
 	}

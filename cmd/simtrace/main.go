@@ -20,10 +20,10 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/eval"
 	"repro/internal/explore"
+	"repro/internal/explore/exploreflag"
 	"repro/internal/kernel"
 	"repro/internal/problems"
 	"repro/internal/solutions"
@@ -39,20 +39,14 @@ func main() {
 	policy := flag.String("policy", "fifo", "schedule policy: fifo, lifo, random (sim kernel only)")
 	seed := flag.Int64("seed", 1, "seed for -policy random")
 	exploreFlag := flag.Bool("explore", false, "hunt schedules for a violation (readers/writers-priority problems)")
-	workers := flag.Int("workers", 0, "goroutines for -explore (0 = all cores; results are identical for any value)")
-	prune := flag.Bool("prune", false, "prune the -explore DFS via state fingerprints (fewer schedules to a finding)")
-	pool := flag.Bool("pool", false, "recycle kernels and recorders across -explore runs (higher throughput)")
-	checkpoint := flag.Bool("checkpoint", false, "fork -explore DFS runs from kernel snapshots at their branch point instead of replaying the prefix from the root")
-	dpor := flag.Bool("dpor", false, "reduce the -explore DFS by dynamic partial-order reduction (backtrack only where happens-before analysis demands; reports schedule-space coverage)")
-	dporAudit := flag.Bool("dpor-audit", false, "run the -explore search reduced and unreduced and fail if the reduction missed a violation rule (implies -dpor)")
-	shrink := flag.Bool("shrink", false, "minimize the -explore finding by delta debugging (1-minimal schedule)")
-	progress := flag.Bool("progress", false, "print a one-line live exploration status to stderr")
+	exploreFlags := exploreflag.Register(flag.CommandLine)
 	saveSched := flag.String("save-sched", "", "write the -explore finding to this path as a replayable .sched artifact")
 	replayFile := flag.String("replay", "", "replay a saved .sched artifact with drift detection; exits 0 iff it reproduces")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) during -explore")
 	list := flag.Bool("list", false, "list mechanisms and problems")
 	quiet := flag.Bool("quiet", false, "suppress the trace, print only the verdict")
 	flag.Parse()
+	opts := exploreFlags.Options()
 
 	if *list {
 		var mechs []string
@@ -88,7 +82,7 @@ func main() {
 		if *exploreFlag {
 			fatal(fmt.Errorf("-explore needs the deterministic kernel (drop -kernel=real)"))
 		}
-		if *dpor || *dporAudit {
+		if opts.DPOR || opts.DPORAudit {
 			fatal(fmt.Errorf("-dpor needs the deterministic kernel's dependency trace (drop -kernel=real)"))
 		}
 		if *policy != "fifo" {
@@ -101,14 +95,7 @@ func main() {
 	}
 
 	if *exploreFlag {
-		opts := explore.Options{
-			RandomRuns: 300, DFSRuns: 600,
-			Workers: *workers, Prune: *prune, Pool: *pool, Shrink: *shrink,
-			Checkpoint: *checkpoint, DPOR: *dpor, DPORAudit: *dporAudit,
-		}
-		if *progress {
-			opts.Progress = progressLine()
-		}
+		opts.RandomRuns, opts.DFSRuns = 300, 600
 		runExplore(suite, *problem, *quiet, *saveSched, opts)
 		return
 	}
@@ -262,33 +249,11 @@ func runReplay(path string, quiet bool) {
 	}
 }
 
-// progressLine renders Stats snapshots as a single overwritten stderr
-// line, throttled so rendering never slows the hunt.
-func progressLine() func(explore.Stats) {
-	var last time.Time
-	return func(s explore.Stats) {
-		if s.Phase != "done" && time.Since(last) < 100*time.Millisecond {
-			return
-		}
-		last = time.Now()
-		fmt.Fprintf(os.Stderr,
-			"\rexplore: phase=%-8s runs=%-7d %6.0f/s pruned=%-6d frontier=%-4d shrink=%d(len %d) pool=%d/%d wasted=%d   ",
-			s.Phase, s.Runs, s.RunsPerSec, s.Pruned, s.Frontier,
-			s.ShrinkRuns, s.ShrinkLen, s.PoolReuses, s.PoolSlots, s.Executed-s.Runs-s.ShrinkRuns)
-		if s.Phase == "done" {
-			fmt.Fprintln(os.Stderr)
-		}
-	}
-}
-
 // runExplore hunts for priority violations on the figure scenario.
 func runExplore(suite solutions.Suite, problem string, quiet bool, saveSched string, opts explore.Options) {
 	prog, oracle, err := figureProgram(suite, problem)
 	if err != nil {
 		fatal(fmt.Errorf("-explore: %w", err))
-	}
-	if inc, ok := problems.IncrementalOracleFor(problem); ok && opts.Pool {
-		opts.Stream = inc.New
 	}
 	res := explore.Run(prog, oracle, opts)
 	if res.Pruned > 0 {

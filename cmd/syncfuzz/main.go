@@ -268,8 +268,6 @@ func fuzzOne(o options, pseed int64, set *synth.Set, mech string) (mechResult, e
 		Workers:    o.workers,
 		Prune:      true,
 		DPOR:       true,
-		Checkpoint: true,
-		Pool:       true,
 		Shrink:     true,
 	})
 	mr := mechResult{Runs: res.Runs}

@@ -71,7 +71,7 @@ func determinismCells(t *testing.T) []detCell {
 }
 
 // The determinism contract at the settings the repository benchmark
-// uses (Pool, Prune, DPOR and Shrink on): the whole Result — Schedule,
+// uses (Prune, DPOR and Shrink on): the whole Result — Schedule,
 // Trace, Violations, Runs, Pruned, MinSchedule, ShrinkRuns and Stats — is
 // the same at Workers 1, 2 and 8, and so is Err's message.
 func TestWorkersDeterministicEngineSettings(t *testing.T) {
@@ -85,7 +85,7 @@ func TestWorkersDeterministicEngineSettings(t *testing.T) {
 				for j, w := range []int{1, 2, 8} {
 					opts := c.opts
 					opts.Workers = w
-					opts.Pool, opts.Prune, opts.DPOR, opts.Shrink = true, true, true, true
+					opts.Prune, opts.DPOR, opts.Shrink = true, true, true
 					got := explore.Run(c.prog, c.oracle, opts)
 					if j == 0 {
 						want = got

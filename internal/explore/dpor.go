@@ -165,10 +165,9 @@ func (d *dporState) addStateSeen(fp uint64, p int32) bool {
 // expand is DPOR's replacement for expandDFS: it filters the committed
 // run's race candidates through the sleep-set memory and returns only
 // the backtrack points that survive, sorted like expandDFS's output
-// (ascending branch depth, so checkpoint registration and LIFO pop
-// order are unchanged). blocked counts the sibling alternatives within
-// the node's own suffix that plain branching would have pushed and the
-// reduction did not.
+// (ascending branch depth, so LIFO pop order is unchanged). blocked
+// counts the sibling alternatives within the node's own suffix that
+// plain branching would have pushed and the reduction did not.
 func (d *dporState) expand(node *task, o *outcome, depth int, expanded map[uint64]bool, pruned *int) ([]*task, int) {
 	r := &o.race
 	if r.plain {

@@ -31,7 +31,7 @@ func deepFigure1Program() Program {
 // than fingerprint pruning alone on the deep scenario (the acceptance
 // bar for this optimization), and the reduced finding must still replay.
 func TestDPORReachesFindingFaster(t *testing.T) {
-	opts := Options{RandomRuns: -1, DFSRuns: 200000, DFSDepth: 48, Prune: true, Pool: true}
+	opts := Options{RandomRuns: -1, DFSRuns: 200000, DFSDepth: 48, Prune: true}
 	pruneOnly := Run(deepFigure1Program(), problems.CheckReadersPriority, opts)
 	if !pruneOnly.Found {
 		t.Fatalf("pruned DFS found nothing in %d runs", pruneOnly.Runs)
@@ -97,7 +97,6 @@ func TestDPORMatchesFull(t *testing.T) {
 					DFSDepth:   12,
 					DPORAudit:  true,
 					Prune:      true,
-					Pool:       true,
 				}
 				var ref Result
 				for i, w := range workerCounts {
@@ -227,8 +226,6 @@ func TestDPORAuditFullComposition(t *testing.T) {
 		DFSDepth:   16,
 		DPORAudit:  true,
 		Prune:      true,
-		Pool:       true,
-		Checkpoint: true,
 		Stream:     inc.New,
 		Shrink:     true,
 	}

@@ -94,10 +94,7 @@ type Result struct {
 	// snapshot, byte-identical across Workers settings like the rest of
 	// the Result. The live observability fields (wall clock, throughput,
 	// pool occupancy) exist only in the Stats snapshots delivered to
-	// Options.Progress. With Options.Checkpoint the CheckpointForks,
-	// SavedSteps, and ReplayedSteps counters quantify prefix sharing;
-	// they are the one part of a Result that legitimately differs
-	// between the checkpointed and replay-from-root engines.
+	// Options.Progress.
 	Stats StatsCore
 	// Err is set when the finding is a kernel error (deadlock, livelock)
 	// rather than an oracle violation, or when a PruneAudit cross-check
@@ -138,10 +135,11 @@ type Options struct {
 	// surfaced any violation rule the pruned search missed. It implies
 	// Prune for the reported Result. Meant for test suites, not hunting.
 	PruneAudit bool
-	// Pool recycles kernels, recorders, and their internal buffers across
-	// runs (kernel.SimKernel.Reset) instead of allocating fresh ones, and
-	// hands findings out as copies. Purely a throughput knob: the Result
-	// is identical with and without it.
+	// Pool is ignored: the executor always reuses kernels, recorders and
+	// their buffers across runs (kernel.SimKernel.Reset) and hands
+	// findings out as copies.
+	//
+	// Deprecated: runs are always recycled; ignored.
 	Pool bool
 	// Stream, when non-nil, constructs a per-run streaming checker
 	// mirroring the batch oracle (problems.IncrementalOracleFor). Runs
@@ -159,10 +157,9 @@ type Options struct {
 	// branch group only (persistent sets). A sleep-set memory suppresses
 	// re-proposing a process already scheduled from the same branch
 	// group. The reduction composes with Prune (proposal points are
-	// fingerprint-deduped), Pool, Stream, Shrink, and Checkpoint
-	// (backtrack points register against checkpoint branch groups), and
-	// every order-dependent decision is made on the driver in canonical
-	// order, so the Result stays byte-identical at every Workers count.
+	// fingerprint-deduped), Stream and Shrink, and every order-dependent
+	// decision is made on the driver in canonical order, so the Result
+	// stays byte-identical at every Workers count.
 	// Like Prune the dependency relation is a conservative heuristic;
 	// DPORAudit is the cross-check. Result.Stats reports BacktrackPoints,
 	// DPORBlocked, and the analytic ExploredFraction (see coverage.go).
@@ -173,32 +170,14 @@ type Options struct {
 	// implies DPOR for the reported Result. Meant for test suites and CI,
 	// not hunting.
 	DPORAudit bool
-	// Checkpoint enables prefix-sharing DFS: after each clean run the
-	// engine captures a kernel snapshot at every decision point it
-	// branched from (kernel.SnapshotAt), and sibling schedules fork from
-	// the checkpoint (kernel.WithRestore) instead of replaying their
-	// whole prefix from the root — the re-driven prefix skips the
-	// scheduler's per-step pipeline and the recorder serves prefix
-	// events from the snapshot. Composes with Prune, Pool, Stream, and
-	// Shrink. The Result is byte-identical to the replay-from-root
-	// engine at every Workers count, apart from the
-	// CheckpointForks/SavedSteps/ReplayedSteps counters in Result.Stats
-	// that quantify the sharing.
-	Checkpoint bool
-	// CheckpointBudget bounds the number of live checkpoints (each holds
-	// copies of its prefix's schedule, per-step artifacts, and trace
-	// events). Over budget, the least valuable checkpoint is evicted:
-	// fewest pending sibling schedules first — LRU weighted by remaining
-	// subtree size — with ties broken least-recently-forked. Default 256.
-	CheckpointBudget int
 	// Shrink minimizes the finding's schedule by delta debugging before
 	// Run returns: chunks of choices are removed and remaining choices
 	// substituted with the FIFO default, re-running each candidate under
 	// replay and re-judging it with the same oracle, until the schedule is
 	// 1-minimal. The result lands in Result.MinSchedule; the replays are
 	// counted in Result.ShrinkRuns, not Runs. Shrinking runs on the driver
-	// and reuses the executor's (possibly pooled) kernels, so it is cheap
-	// and Workers-independent.
+	// and reuses the executor's recycled kernels, so it is cheap and
+	// Workers-independent.
 	Shrink bool
 	// Progress, when non-nil, receives Stats snapshots from the driver as
 	// the search advances — per phase transition and per judged run.
@@ -233,16 +212,13 @@ func (o Options) withDefaults() Options {
 	if o.DPORAudit {
 		o.DPOR = true
 	}
-	if o.CheckpointBudget == 0 {
-		o.CheckpointBudget = 256
-	}
 	return o
 }
 
 // judge converts one run into a Result if it is a finding; the caller
 // stamps Runs. Findings are handed out as copies: runOut's slices are
-// views into (possibly pooled) executor state, and a Result outlives the
-// run that produced it.
+// views into recycled executor state, and a Result outlives the run that
+// produced it.
 func judge(out runOut, oracle Oracle, opts Options) (Result, bool) {
 	if out.err != nil {
 		if opts.IgnoreKernelErrors {
@@ -331,7 +307,10 @@ func Replay(prog Program, schedule []kernel.Choice, maxSteps int64) (trace.Trace
 	if maxSteps == 0 {
 		maxSteps = 100000
 	}
-	e := newExecutor(Options{MaxSteps: maxSteps})
-	out := e.run(prog, kernel.Replay(schedule))
-	return append(trace.Trace(nil), out.tr...), out.err
+	// A one-shot run: a plain kernel and recorder, nothing to recycle.
+	k := kernel.NewSim(kernel.WithMaxSteps(maxSteps), kernel.WithPolicy(kernel.Replay(schedule)))
+	r := trace.NewRecorder(k)
+	prog(k, r)
+	err := k.Run()
+	return r.Snapshot(), err
 }

@@ -11,10 +11,10 @@
 // arrays branching needs and releasing the kernel. The driver walks the
 // canonical order and commits each outcome: everything whose result
 // depends on what was committed before — pop-time dedup, the sleep-set
-// and visited-state memories, frontier pushes, checkpoints, Progress —
-// happens there and only there. When the outcome it needs next is still
-// being computed elsewhere, the driver judges or executes other work
-// instead of blocking. In DFS, workers also run ahead below the frontier
+// and visited-state memories, frontier pushes, Progress — happens there
+// and only there. When the outcome it needs next is still being computed
+// elsewhere, the driver judges or executes other work instead of
+// blocking. In DFS, workers also run ahead below the frontier
 // on forecast first children (dporState.predict), and with helpers the
 // driver commits a run's expansion before its verdict is in (dfsScan).
 //
@@ -65,9 +65,9 @@ type runOut struct {
 }
 
 // runSlot bundles the per-run machinery — a kernel, its recorder, and
-// optionally a streaming checker wired to cut violating runs short. With
-// pooling, slots are recycled through Reset instead of reallocated, so
-// the steady-state cost of a run is the run itself, not its setup.
+// optionally a streaming checker wired to cut violating runs short. Slots
+// are recycled through Reset instead of reallocated, so the steady-state
+// cost of a run is the run itself, not its setup.
 type runSlot struct {
 	k      *kernel.SimKernel
 	r      *trace.Recorder
@@ -75,15 +75,13 @@ type runSlot struct {
 	vs     []problems.Violation
 }
 
-// executor runs schedules, optionally recycling slots (Options.Pool) and
-// optionally attaching a streaming checker (Options.Stream). It is safe
-// for concurrent use; each run executes on a private slot.
+// executor runs schedules on recycled slots, optionally attaching a
+// streaming checker (Options.Stream). It is safe for concurrent use; each
+// run executes on a private slot.
 type executor struct {
-	maxSteps   int64
-	newStream  func() problems.StreamChecker
-	pooled     bool
-	checkpoint bool
-	dpor       bool
+	maxSteps  int64
+	newStream func() problems.StreamChecker
+	dpor      bool
 
 	// slots counts runSlots ever created; reuses counts runs served by a
 	// recycled slot; executed counts runs executed by any worker. Atomics
@@ -100,11 +98,9 @@ type executor struct {
 
 func newExecutor(opts Options) *executor {
 	return &executor{
-		maxSteps:   opts.MaxSteps,
-		newStream:  opts.Stream,
-		pooled:     opts.Pool,
-		checkpoint: opts.Checkpoint,
-		dpor:       opts.DPOR,
+		maxSteps:  opts.MaxSteps,
+		newStream: opts.Stream,
+		dpor:      opts.DPOR,
 	}
 }
 
@@ -115,38 +111,26 @@ func (e *executor) poolStats() (int, int) {
 }
 
 func (e *executor) acquire() *runSlot {
-	if e.pooled {
-		e.mu.Lock()
-		if n := len(e.free); n > 0 {
-			s := e.free[n-1]
-			e.free[n-1] = nil
-			e.free = e.free[:n-1]
-			e.mu.Unlock()
-			e.reuses.Add(1)
-			return s
-		}
+	e.mu.Lock()
+	if n := len(e.free); n > 0 {
+		s := e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
 		e.mu.Unlock()
+		e.reuses.Add(1)
+		return s
 	}
+	e.mu.Unlock()
 	e.slots.Add(1)
-	kopts := []kernel.SimOption{kernel.WithMaxSteps(e.maxSteps)}
-	if e.pooled {
-		kopts = append(kopts, kernel.WithRecycle())
-	}
+	kopts := []kernel.SimOption{kernel.WithMaxSteps(e.maxSteps), kernel.WithRecycle()}
 	if e.dpor {
 		kopts = append(kopts, kernel.WithDepTrace())
 	}
 	s := &runSlot{k: kernel.NewSim(kopts...)}
 	s.r = trace.NewRecorder(s.k)
-	if e.checkpoint {
-		// Sample the recorder position at every decision point so the
-		// driver can capture snapshots from this slot (kernel.SnapshotAt).
-		s.k.SetDecisionMark(s.r.LenCooperative)
-	}
-	if e.pooled {
-		e.mu.Lock()
-		e.all = append(e.all, s)
-		e.mu.Unlock()
-	}
+	e.mu.Lock()
+	e.all = append(e.all, s)
+	e.mu.Unlock()
 	if e.newStream != nil {
 		s.stream = e.newStream()
 		s.r.SetObserver(func(ev trace.Event) {
@@ -163,7 +147,7 @@ func (e *executor) acquire() *runSlot {
 // in out (schedule, trace, fingerprints, visibility) has been consumed or
 // copied; a released slot's next run overwrites them all.
 func (e *executor) release(out runOut) {
-	if !e.pooled || out.slot == nil {
+	if out.slot == nil {
 		return
 	}
 	e.mu.Lock()
@@ -179,8 +163,9 @@ func (e *executor) close() {
 	}
 }
 
-// run executes prog once under the given policy. Safe to call from
-// multiple goroutines concurrently.
+// run executes prog once under the given policy and returns views of
+// what the run recorded. Safe to call from multiple goroutines
+// concurrently.
 func (e *executor) run(prog Program, policy kernel.Policy) runOut {
 	s := e.acquire()
 	s.k.Reset(kernel.WithPolicy(policy))
@@ -189,39 +174,6 @@ func (e *executor) run(prog Program, policy kernel.Policy) runOut {
 		s.stream.Reset()
 		s.vs = s.vs[:0]
 	}
-	return e.finish(prog, s)
-}
-
-// runFrom executes prog resuming from a checkpoint: the kernel re-drives
-// the snapshot's choice prefix in restore mode (per-step pipeline
-// skipped), the recorder serves the prefix events from the snapshot, and
-// the streaming checker, if any, is brought to the fork point by
-// re-feeding it the prefix. tail schedules the decisions past the
-// snapshot. By determinism the outcome is byte-identical to running the
-// full schedule by replay from the root; only the cost differs.
-func (e *executor) runFrom(prog Program, snap *kernel.Snapshot, prefix trace.Trace, tail kernel.Policy) runOut {
-	s := e.acquire()
-	s.k.Reset(kernel.WithPolicy(tail), kernel.WithRestore(snap))
-	s.r.Reset()
-	s.r.ResumeFrom(prefix)
-	if s.stream != nil {
-		s.stream.Reset()
-		s.vs = s.vs[:0]
-		for _, ev := range prefix {
-			// Checkpoints are only registered from violation-free runs,
-			// so re-feeding cannot fire the checker; collect defensively
-			// anyway rather than dropping a finding.
-			if vs := s.stream.Observe(ev); len(vs) > 0 {
-				s.vs = append(s.vs, vs...)
-			}
-		}
-	}
-	return e.finish(prog, s)
-}
-
-// finish builds the program on a reset slot, runs it, and returns views
-// of what the run recorded.
-func (e *executor) finish(prog Program, s *runSlot) runOut {
 	e.executed.Add(1)
 	prog(s.k, s.r)
 	err := s.k.Run()
@@ -253,9 +205,7 @@ type outcome struct {
 	found  bool
 	judged bool
 	taken  bool // a worker is judging it
-	// run holds the slot while the run is still needed: until judged, or
-	// with Options.Checkpoint until the driver has captured snapshots from
-	// it at commit.
+	// run holds the slot while the run is still needed: until judged.
 	run runOut
 	// DFS only: the schedule, and with Prune or DPOR the fingerprints and
 	// visibility, each copied up to Options.DFSDepth — all that branching
@@ -715,10 +665,8 @@ func dfsAudit(e *executor, prog Program, oracle Oracle, opts Options, t *tracker
 // Progress reports when the run's verdict is processed, and what a
 // finding there reports.
 type scanCounters struct {
-	frontier, pruned        int
-	backtrack, blocked      int
-	forks                   int
-	savedSteps, replaySteps int64
+	frontier, pruned   int
+	backtrack, blocked int
 }
 
 // dfsScan is the DFS engine. prune enables fingerprint-based subtree
@@ -740,16 +688,9 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 	if opts.DFSRuns <= 0 {
 		return Result{Runs: t.st.Runs}, found
 	}
-	// The checkpoint registry (Options.Checkpoint) is per-scan, so the
-	// audit's reference pass shares nothing with the pruned pass.
-	var reg *ckptRegistry
-	if opts.Checkpoint {
-		reg = newCkptRegistry(opts.CheckpointBudget)
-	}
 	helpers := opts.Workers - 1
-	// Checkpoint registration needs the verdict at commit, and one worker
-	// has no one to hand judging to.
-	deferred := helpers > 0 && reg == nil
+	// One worker has no one to hand judging to.
+	deferred := helpers > 0
 	// Forecasting needs helpers to run the forecasts and, for now, the
 	// state-keyed sleep sets of DPOR with Prune.
 	forecast := deferred && dpor && prune
@@ -769,7 +710,7 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 		if dpor {
 			o.race = w.dpor.analyze(out, depth, prune)
 		}
-		if deferred || reg != nil {
+		if deferred {
 			o.run = out
 		} else {
 			e.release(out)
@@ -872,10 +813,7 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 		pending []pendingRun
 		first   Result
 	)
-	live := scanCounters{
-		backtrack: t.st.BacktrackPoints, blocked: t.st.DPORBlocked,
-		forks: t.st.CheckpointForks, savedSteps: t.st.SavedSteps, replaySteps: t.st.ReplayedSteps,
-	}
+	live := scanCounters{backtrack: t.st.BacktrackPoints, blocked: t.st.DPORBlocked}
 	// verdicts processes pending verdicts in order: every one already in,
 	// and, waiting if need be, as many as it takes to leave at most keep
 	// pending. It reports the finding that ends the scan, if any.
@@ -891,7 +829,6 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 			pending = pending[1:]
 			t.st.Frontier, t.st.Pruned = p.at.frontier, p.at.pruned
 			t.st.BacktrackPoints, t.st.DPORBlocked = p.at.backtrack, p.at.blocked
-			t.st.CheckpointForks, t.st.SavedSteps, t.st.ReplayedSteps = p.at.forks, p.at.savedSteps, p.at.replaySteps
 			t.ran()
 			if !p.o.found {
 				continue
@@ -927,24 +864,7 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 		reach = opts.DFSRuns - dfsRuns - 1
 		c.mu.Unlock()
 
-		// Build the node's binary key so that its branch-point prefix —
-		// the node minus its final (branching) choice — is the leading
-		// keyBuf[:branchEnd] bytes: appendScheduleKey is concatenative.
-		n := len(node.prefix)
-		keyBuf = keyBuf[:0]
-		branchEnd := 0
-		if n > 0 {
-			keyBuf = appendScheduleKey(keyBuf, node.prefix[:n-1])
-			branchEnd = len(keyBuf)
-			keyBuf = appendScheduleKey(keyBuf, node.prefix[n-1:])
-		}
-		// Consume the node's checkpoint slot before the dedup check:
-		// duplicate prefixes were counted as pending siblings when their
-		// parent registered, so every pop pays one slot either way.
-		var ent *ckptEntry
-		if reg != nil && n > 0 {
-			ent = reg.take(keyBuf[:branchEnd])
-		}
+		keyBuf = appendScheduleKey(keyBuf[:0], node.prefix)
 		if seen[string(keyBuf)] {
 			c.drop(node)
 			c.mu.Lock()
@@ -953,24 +873,9 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 		seen[string(keyBuf)] = true
 
 		o := c.await(w, node, func() *outcome {
-			if ent != nil {
-				return settle(w, e.runFrom(prog, ent.snap, ent.events, kernel.Replay(node.prefix[ent.depth:])))
-			}
 			return settle(w, e.run(prog, kernel.Replay(node.prefix)))
 		})
 		dfsRuns++
-		if reg != nil {
-			// Canonical accounting: a helper may have executed this run
-			// by full replay, but the counters follow the driver's fork
-			// decision so they are identical for every worker count.
-			if ent != nil {
-				live.forks++
-				live.savedSteps += int64(ent.depth)
-				live.replaySteps += int64(n - ent.depth)
-			} else {
-				live.replaySteps += int64(n)
-			}
-		}
 		pending = append(pending, pendingRun{o: o, at: live})
 
 		// Branch: for each decision point within depth (at or beyond the
@@ -987,14 +892,7 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 		} else {
 			children = expandDFS(node.prefix, o, depth, expanded, &live.pruned)
 		}
-		res, stop := verdicts(keep)
-		if reg != nil {
-			if !stop && !o.found && o.run.err == nil {
-				reg.registerRun(o.run, children)
-			}
-			c.free(o)
-		}
-		if stop {
+		if res, stop := verdicts(keep); stop {
 			return res, found
 		}
 		c.mu.Lock()
@@ -1026,7 +924,6 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 	}
 	t.st.Frontier = 0
 	t.st.BacktrackPoints, t.st.DPORBlocked = live.backtrack, live.blocked
-	t.st.CheckpointForks, t.st.SavedSteps, t.st.ReplayedSteps = live.forks, live.savedSteps, live.replaySteps
 	t.st.Exhausted = exhausted
 	if !first.Found {
 		first.Runs = t.st.Runs

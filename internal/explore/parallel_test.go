@@ -35,7 +35,6 @@ func TestSpeculationWaste(t *testing.T) {
 				var last Stats
 				opts := tc.opts
 				opts.Workers = w
-				opts.Pool = true
 				opts.Progress = func(s Stats) { last = s }
 				res := Run(figure1Program(), tc.oracle, opts)
 				waste := last.Executed - res.Runs - res.ShrinkRuns

@@ -231,12 +231,18 @@ func ReadSchedFile(path string) (*SchedFile, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseSchedFile(data, path)
+}
+
+// parseSchedFile decodes and validates the bytes of a schedule file;
+// source names them in errors.
+func parseSchedFile(data []byte, source string) (*SchedFile, error) {
 	var f SchedFile
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("explore: %s: %w", path, err)
+		return nil, fmt.Errorf("explore: %s: %w", source, err)
 	}
 	if err := f.validate(); err != nil {
-		return nil, fmt.Errorf("%w (%s)", err, path)
+		return nil, fmt.Errorf("%w (%s)", err, source)
 	}
 	return &f, nil
 }

@@ -84,7 +84,7 @@ func TestSchedFileGolden(t *testing.T) {
 
 	if *updateSched {
 		res := Run(prog, oracle, Options{
-			RandomRuns: 300, DFSRuns: 600, Shrink: true, Pool: true,
+			RandomRuns: 300, DFSRuns: 600, Shrink: true,
 		})
 		if !res.Found || res.Err != nil || res.MinSchedule == nil {
 			t.Fatalf("cannot regenerate golden: found=%v err=%v min=%v",
@@ -181,5 +181,36 @@ func TestSchedFileRejects(t *testing.T) {
 		if _, err := ReadSchedFile(path); err == nil {
 			t.Fatal("malformed JSON accepted")
 		}
+	})
+}
+
+// Schedule files arrive from disk, CI artifacts and bug reports, so the
+// reader must survive any bytes: every input parseSchedFile accepts
+// yields a Schedule whose every choice picks inside its ready set, and
+// Verify on it returns (an error, usually) instead of panicking.
+func FuzzReadSchedFile(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "*.sched"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no golden .sched seeds: %v", err)
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	prog := figure1Program()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sf, err := parseSchedFile(data, "fuzz input")
+		if err != nil {
+			return
+		}
+		for i, c := range sf.Schedule() {
+			if c.Picked < 0 || c.Picked >= c.Ready {
+				t.Fatalf("accepted choice %d out of range: %+v", i, c)
+			}
+		}
+		_, _, _ = sf.Verify(prog, problems.CheckReadersPriority)
 	})
 }

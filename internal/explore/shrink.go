@@ -19,7 +19,7 @@
 // under kernel.ExactReplay and can be saved as a schedule artifact.
 //
 // Shrinking runs on the driver goroutine and replays through the same
-// executor as the search, reusing pooled kernels; with Options.Pool the
+// executor as the search, reusing its recycled kernels, so the
 // steady-state cost of a shrink step is one short replay. Candidate
 // generation is a pure function of the original schedule, so MinSchedule
 // and ShrinkRuns are identical for every Options.Workers setting.

@@ -25,24 +25,6 @@ type StatsCore struct {
 	// ShrinkLen is the length of the best minimized schedule so far; 0
 	// until the shrink phase starts.
 	ShrinkLen int
-	// CheckpointForks is the number of DFS runs that forked from a
-	// checkpoint instead of replaying their prefix from the root
-	// (Options.Checkpoint). Counted canonically on the driver, so it is
-	// Workers-independent even though helper workers always execute by
-	// full replay.
-	CheckpointForks int
-	// SavedSteps counts prefix steps served from a checkpoint across all
-	// forked runs: steps the scheduler re-drove with the per-step
-	// pipeline — policy consultation, choice/fingerprint/visibility/mark
-	// recording, trace appends — skipped.
-	SavedSteps int64
-	// ReplayedSteps counts prefix steps executed through the full
-	// pipeline: the whole prefix of DFS runs that found no usable
-	// checkpoint, plus the post-checkpoint suffix of the prefix of
-	// forked runs. Dense checkpoint hits show up as SavedSteps >>
-	// ReplayedSteps. Zero (like CheckpointForks and SavedSteps) unless
-	// Options.Checkpoint.
-	ReplayedSteps int64
 	// BacktrackPoints counts the backtrack nodes partial-order reduction
 	// pushed onto the DFS frontier: the persistent-set branches the
 	// happens-before analysis demanded. Zero unless Options.DPOR.
@@ -178,9 +160,6 @@ func (t *tracker) deterministic(res *Result) StatsCore {
 		Pruned:          res.Pruned,
 		ShrinkRuns:      res.ShrinkRuns,
 		ShrinkLen:       len(res.MinSchedule),
-		CheckpointForks: t.st.CheckpointForks,
-		SavedSteps:      t.st.SavedSteps,
-		ReplayedSteps:   t.st.ReplayedSteps,
 		BacktrackPoints: t.st.BacktrackPoints,
 		DPORBlocked:     t.st.DPORBlocked,
 		Exhausted:       t.st.Exhausted,

@@ -84,7 +84,6 @@ func TestPruneAuditT4Suite(t *testing.T) {
 					DFSRuns:    150,
 					DFSDepth:   16,
 					PruneAudit: true,
-					Pool:       true,
 				})
 				if res.Err != nil && strings.Contains(res.Err.Error(), "prune audit") {
 					t.Fatalf("prune audit failed: %v", res.Err)
@@ -94,32 +93,17 @@ func TestPruneAuditT4Suite(t *testing.T) {
 	}
 }
 
-// Pool and Prune are throughput knobs, not semantics knobs: pooled
-// exploration returns exactly the unpooled Result, and pruned exploration
-// is identical across worker counts (its pruning decisions are driver-side
-// and canonical-order).
+// Prune and Stream are throughput knobs, not semantics knobs: pruned
+// exploration is identical across worker counts (its pruning decisions
+// are driver-side and canonical-order), and streamed judging finds what
+// batch judging finds.
 func TestPoolAndPruneDeterminism(t *testing.T) {
 	oracle := Oracle(problems.CheckReadersPriority)
 	base := Options{RandomRuns: 100, DFSRuns: 400, DFSDepth: 24}
 
-	t.Run("pool-matches-unpooled", func(t *testing.T) {
-		plain := Run(figure1Program(), oracle, base)
-		pooled := base
-		pooled.Pool = true
-		got := Run(figure1Program(), oracle, pooled)
-		if plain.Found != got.Found || plain.Runs != got.Runs ||
-			!reflect.DeepEqual(plain.Schedule, got.Schedule) ||
-			!reflect.DeepEqual(plain.Trace, got.Trace) ||
-			!reflect.DeepEqual(plain.Violations, got.Violations) {
-			t.Fatalf("pooled result diverged:\n  plain:  found=%v runs=%d sched=%v\n  pooled: found=%v runs=%d sched=%v",
-				plain.Found, plain.Runs, plain.Schedule, got.Found, got.Runs, got.Schedule)
-		}
-	})
-
 	t.Run("prune-workers-independent", func(t *testing.T) {
 		opts := base
 		opts.Prune = true
-		opts.Pool = true
 		opts.Workers = 1
 		seq := Run(figure1Program(), oracle, opts)
 		opts.Workers = 8
@@ -141,7 +125,6 @@ func TestPoolAndPruneDeterminism(t *testing.T) {
 		}
 		batch := Run(figure1Program(), inc.Check, base)
 		streamed := base
-		streamed.Pool = true
 		streamed.Stream = inc.New
 		got := Run(figure1Program(), inc.Check, streamed)
 		// A streaming checker agrees with the batch oracle on complete
@@ -216,20 +199,29 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// Pooled exploration parks worker goroutines between runs; Run must
-// release them on exit (executor.close -> SimKernel.Close), so repeated
-// pooled explorations cannot accumulate goroutines.
+// Exploration parks recycled worker goroutines between runs; Run, with
+// or without shrinking, must release them on exit (executor.close ->
+// SimKernel.Close), and Replay's one-shot kernel must not leave its
+// process goroutines behind, so repeated explorations and replays cannot
+// accumulate goroutines.
 func TestPoolNoGoroutineLeak(t *testing.T) {
 	perRun := Program(func(k kernel.Kernel, r *trace.Recorder) {
 		k.Spawn("stuck1", func(p *kernel.Proc) { p.Park() })
 		k.Spawn("stuck2", func(p *kernel.Proc) { p.Yield(); p.Park() })
 	})
+	clean := func(trace.Trace) []problems.Violation { return nil }
 	base := runtime.NumGoroutine()
 	for i := 0; i < 500; i++ {
-		res := Run(perRun, func(trace.Trace) []problems.Violation { return nil },
-			Options{RandomRuns: 2, DFSRuns: 2, Workers: 4, Pool: true})
+		res := Run(perRun, clean, Options{RandomRuns: 2, DFSRuns: 2, Workers: 4})
 		if !res.Found || !errors.Is(res.Err, kernel.ErrDeadlock) {
 			t.Fatalf("run %d: res = %+v", i, res)
+		}
+		if _, err := Replay(perRun, res.Schedule, 0); !errors.Is(err, kernel.ErrDeadlock) {
+			t.Fatalf("replay %d: err = %v", i, err)
+		}
+		shrunk := Run(perRun, clean, Options{RandomRuns: 2, DFSRuns: 2, Workers: 4, Shrink: true})
+		if shrunk.ShrinkRuns == 0 {
+			t.Fatalf("run %d: shrink ran no replays: %+v", i, shrunk)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -239,7 +231,7 @@ func TestPoolNoGoroutineLeak(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: started with %d, still %d after 500 pooled runs",
+			t.Fatalf("goroutines: started with %d, still %d after 500 explorations, replays and shrinks",
 				base, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)

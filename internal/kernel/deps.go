@@ -47,11 +47,9 @@ func WithDepTrace() SimOption {
 }
 
 // noteDepLocked records an access to obj by the step in progress.
-// Consecutive duplicate accesses are collapsed. Recording is suppressed
-// while a snapshot prefix is re-driven: those records were pre-filled
-// from the snapshot (WithRestore).
+// Consecutive duplicate accesses are collapsed.
 func (k *SimKernel) noteDepLocked(obj uint64) {
-	if !k.depTrace || k.restore != nil {
+	if !k.depTrace {
 		return
 	}
 	step := int32(k.steps) - 1
@@ -66,7 +64,7 @@ func (k *SimKernel) noteDepLocked(obj uint64) {
 // MarkStepVisible. Unlocked by the same cooperative-discipline argument
 // as NowCooperative.
 func (k *SimKernel) NoteTraceDep() {
-	if !k.depTrace || k.restore != nil {
+	if !k.depTrace {
 		return
 	}
 	step := int32(k.steps) - 1

@@ -79,16 +79,23 @@ func (p *parser) advance() {
 	}
 	tok, err := p.lex.next()
 	if err != nil {
-		p.err = err
+		p.halt(err)
 		return
 	}
 	p.tok = tok
 }
 
 func (p *parser) fail(format string, args ...any) {
+	p.halt(&SyntaxError{p.tok.pos, fmt.Sprintf(format, args...)})
+}
+
+// halt records err (the first error wins) and parks the parser on an EOF
+// token, so no loop or recursion keeps matching the token it stopped at.
+func (p *parser) halt(err error) {
 	if p.err == nil {
-		p.err = &SyntaxError{p.tok.pos, fmt.Sprintf(format, args...)}
+		p.err = err
 	}
+	p.tok = token{kind: tokEOF, pos: p.tok.pos}
 }
 
 func (p *parser) expect(kind tokKind) token {

@@ -152,6 +152,10 @@ func TestParseErrors(t *testing.T) {
 		{"path a end trailing", `expected "path"`},
 		{"path a % b end", "illegal character"},
 		{"path path end", "expected operation"},
+		// An error inside a burst or after a bound once left the parser
+		// re-entering the same "{" until the stack overflowed.
+		{"path 2 {a} end", `expected ":"`},
+		{"path t end path {d} , e end path { \x10", "illegal character"},
 	}
 	for _, tc := range cases {
 		_, err := ParseList(tc.src)
