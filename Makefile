@@ -26,7 +26,7 @@ lint:
 	$(GO) run ./cmd/synclint ./...
 
 # bench runs the E1 exploration benchmarks — throughput variants, the
-# deep-DFS batch/stream column, and the DPOR
+# deep-DFS scenario, one-shot replay, and the DPOR
 # schedules-to-finding/-exhaustion hunts — and archives the numbers
 # (ns/op, allocs/op, schedules/sec, schedules-to-finding,
 # schedules-to-exhaustion, explored-fraction per variant) into

@@ -142,23 +142,13 @@ func benchDeepDFS(b *testing.B, opts explore.Options) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "schedules/sec")
 }
 
-// BenchmarkE1DeepDFS runs the deep DFS with batch judging (`pooled`) and
-// with incremental judging (`pooled-stream`). Both execute the same
-// schedule budget and return the same Result.
+// BenchmarkE1DeepDFS runs the deep DFS sequentially (`pooled`): 64
+// schedules of the clean deep scenario, each judged by the one-pass
+// readers-priority oracle.
 func BenchmarkE1DeepDFS(b *testing.B) {
 	const budget = 64
-	inc, ok := problems.IncrementalOracleFor(problems.NameReadersPriority)
-	if !ok {
-		b.Fatal("no incremental oracle for readers-priority")
-	}
-	base := explore.Options{RandomRuns: -1, DFSRuns: budget, DFSDepth: 48, Workers: 1}
 	b.Run("pooled", func(b *testing.B) {
-		benchDeepDFS(b, base)
-	})
-	b.Run("pooled-stream", func(b *testing.B) {
-		opts := base
-		opts.Stream = inc.New
-		benchDeepDFS(b, opts)
+		benchDeepDFS(b, explore.Options{RandomRuns: -1, DFSRuns: budget, DFSDepth: 48, Workers: 1})
 	})
 }
 

@@ -82,7 +82,7 @@ func main() {
 		if *exploreFlag {
 			fatal(fmt.Errorf("-explore needs the deterministic kernel (drop -kernel=real)"))
 		}
-		if opts.DPOR || opts.DPORAudit {
+		if opts.DPOR {
 			fatal(fmt.Errorf("-dpor needs the deterministic kernel's dependency trace (drop -kernel=real)"))
 		}
 		if *policy != "fifo" {
@@ -261,7 +261,7 @@ func runExplore(suite solutions.Suite, problem string, quiet bool, saveSched str
 	} else {
 		fmt.Printf("explored %d schedules\n", res.Runs)
 	}
-	if opts.DPOR || opts.DPORAudit {
+	if opts.DPOR {
 		approx := "exactly "
 		if !res.Stats.ScheduleSpaceExact {
 			approx = "at most "

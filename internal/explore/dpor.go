@@ -40,8 +40,8 @@
 // to forecast a run's first child before its commit (dporState.predict);
 // the driver adopts a forecast only if it came true. The dependency
 // relation itself is deliberately conservative but heuristic (see
-// kernel/deps.go); Options.DPORAudit is the correctness gate, mirroring
-// PruneAudit.
+// kernel/deps.go); Options.Audit is the correctness gate, as it is for
+// Prune.
 package explore
 
 import (

@@ -1,9 +1,9 @@
 package explore
 
 import (
+	"errors"
 	"math"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/kernel"
@@ -95,7 +95,8 @@ func TestDPORMatchesFull(t *testing.T) {
 					RandomRuns: -1,
 					DFSRuns:    400,
 					DFSDepth:   12,
-					DPORAudit:  true,
+					DPOR:       true,
+					Audit:      true,
 					Prune:      true,
 				}
 				var ref Result
@@ -103,7 +104,7 @@ func TestDPORMatchesFull(t *testing.T) {
 					opts := base
 					opts.Workers = w
 					res := Run(Program(prog), check, opts)
-					if res.Err != nil && strings.Contains(res.Err.Error(), "dpor audit") {
+					if errors.Is(res.Err, ErrAuditFailed) {
 						t.Fatalf("workers=%d: %v", w, res.Err)
 					}
 					if res.Stats.ExploredFraction <= 0 || res.Stats.ExploredFraction > 1 {
@@ -123,7 +124,7 @@ func TestDPORMatchesFull(t *testing.T) {
 				// tree is a subtree of the full one, so reduced never
 				// needs more runs.
 				plain := base
-				plain.DPORAudit, plain.DPOR, plain.Prune = false, false, false
+				plain.Audit, plain.DPOR, plain.Prune = false, false, false
 				plain.Workers = 1
 				pres := Run(Program(prog), check, plain)
 				if ref.Runs > pres.Runs {
@@ -216,21 +217,17 @@ func TestExploredFraction(t *testing.T) {
 // DPOR is rejected nowhere but composes everywhere: spot-check that the
 // audit passes with the whole option surface enabled at once.
 func TestDPORAuditFullComposition(t *testing.T) {
-	inc, ok := problems.IncrementalOracleFor(problems.NameReadersPriority)
-	if !ok {
-		t.Fatal("no incremental oracle for readers-priority")
-	}
 	opts := Options{
 		RandomRuns: 20,
 		DFSRuns:    200,
 		DFSDepth:   16,
-		DPORAudit:  true,
+		DPOR:       true,
+		Audit:      true,
 		Prune:      true,
-		Stream:     inc.New,
 		Shrink:     true,
 	}
 	res := Run(figure1Program(), problems.CheckReadersPriority, opts)
-	if res.Err != nil && strings.Contains(res.Err.Error(), "dpor audit") {
+	if errors.Is(res.Err, ErrAuditFailed) {
 		t.Fatalf("audit failed under full composition: %v", res.Err)
 	}
 	if !res.Found {

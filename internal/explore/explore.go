@@ -35,6 +35,7 @@
 package explore
 
 import (
+	"errors"
 	"runtime"
 
 	"repro/internal/kernel"
@@ -65,9 +66,7 @@ type Result struct {
 	Found bool
 	// Schedule is the replayable choice sequence of the violating run.
 	Schedule []kernel.Choice
-	// Trace is the violating run's trace. When a streaming checker cut
-	// the run short (Options.Stream) it is the partial history up to the
-	// violation.
+	// Trace is the violating run's trace.
 	Trace trace.Trace
 	// Violations are the oracle findings for that run.
 	Violations []problems.Violation
@@ -97,10 +96,15 @@ type Result struct {
 	// Options.Progress.
 	Stats StatsCore
 	// Err is set when the finding is a kernel error (deadlock, livelock)
-	// rather than an oracle violation, or when a PruneAudit cross-check
-	// failed.
+	// rather than an oracle violation, or when an Audit cross-check failed
+	// (errors.Is(Err, ErrAuditFailed)).
 	Err error
 }
+
+// ErrAuditFailed is wrapped by Result.Err when Options.Audit found a
+// violation rule the reduced search missed; the message names the
+// reductions that were on and the rules.
+var ErrAuditFailed = errors.New("explore: audit failed")
 
 // Options bounds the exploration.
 type Options struct {
@@ -115,10 +119,6 @@ type Options struct {
 	DFSDepth int
 	// MaxSteps is the per-run kernel step bound. Default 100000.
 	MaxSteps int64
-	// IgnoreKernelErrors skips runs that deadlock or hit the step limit
-	// instead of counting them as findings. By default a kernel error is
-	// a finding (with Violations nil and Err set).
-	IgnoreKernelErrors bool
 	// Workers is the number of goroutines executing schedules. 0 means
 	// runtime.GOMAXPROCS(0). The Result is the same for every value (see
 	// the package comment); Workers: 1 pins the sequential engine.
@@ -128,26 +128,14 @@ type Options struct {
 	// not branched again, and alternatives at invisible (pure-yield) steps
 	// are skipped. Pruning typically reaches the first violation in far
 	// fewer runs; it is heuristic (the fingerprint cannot see user data
-	// state), so PruneAudit exists as a cross-check.
+	// state), so Audit exists as a cross-check.
 	Prune bool
-	// PruneAudit runs the DFS budget twice — pruned and unpruned, both to
-	// completion — and reports an error finding if the unpruned frontier
-	// surfaced any violation rule the pruned search missed. It implies
-	// Prune for the reported Result. Meant for test suites, not hunting.
-	PruneAudit bool
 	// Pool is ignored: the executor always reuses kernels, recorders and
 	// their buffers across runs (kernel.SimKernel.Reset) and hands
 	// findings out as copies.
 	//
 	// Deprecated: runs are always recycled; ignored.
 	Pool bool
-	// Stream, when non-nil, constructs a per-run streaming checker
-	// mirroring the batch oracle (problems.IncrementalOracleFor). Runs
-	// are judged by the stream — violating runs are cut short at the
-	// first violation via kernel.SimKernel.Stop, and completed runs skip
-	// the batch oracle entirely. The checker must agree with the oracle
-	// on complete traces.
-	Stream func() problems.StreamChecker
 	// DPOR enables dynamic partial-order reduction in the DFS phase: the
 	// kernel records which shared objects every scheduling step accessed
 	// (kernel.WithDepTrace), and instead of branching at every visible
@@ -157,19 +145,21 @@ type Options struct {
 	// branch group only (persistent sets). A sleep-set memory suppresses
 	// re-proposing a process already scheduled from the same branch
 	// group. The reduction composes with Prune (proposal points are
-	// fingerprint-deduped), Stream and Shrink, and every order-dependent
+	// fingerprint-deduped) and Shrink, and every order-dependent
 	// decision is made on the driver in canonical order, so the Result
 	// stays byte-identical at every Workers count.
 	// Like Prune the dependency relation is a conservative heuristic;
-	// DPORAudit is the cross-check. Result.Stats reports BacktrackPoints,
+	// Audit is the cross-check. Result.Stats reports BacktrackPoints,
 	// DPORBlocked, and the analytic ExploredFraction (see coverage.go).
 	DPOR bool
-	// DPORAudit runs the DFS budget twice — reduced and fully unreduced,
-	// both to completion — and reports an error finding if the unreduced
-	// frontier surfaced any violation rule the reduced search missed. It
-	// implies DPOR for the reported Result. Meant for test suites and CI,
-	// not hunting.
-	DPORAudit bool
+	// Audit cross-checks whichever reductions are on (Prune, DPOR): the
+	// DFS budget runs twice — reduced and fully unreduced, both to
+	// completion — and the Result is an error finding wrapping
+	// ErrAuditFailed if the unreduced frontier surfaced any violation rule
+	// the reduced search missed. Without Prune or DPOR there is nothing to
+	// audit and it does nothing. Meant for test suites and CI, not
+	// hunting.
+	Audit bool
 	// Shrink minimizes the finding's schedule by delta debugging before
 	// Run returns: chunks of choices are removed and remaining choices
 	// substituted with the FIFO default, re-running each candidate under
@@ -206,12 +196,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
-	if o.PruneAudit {
-		o.Prune = true
-	}
-	if o.DPORAudit {
-		o.DPOR = true
-	}
 	return o
 }
 
@@ -219,21 +203,9 @@ func (o Options) withDefaults() Options {
 // stamps Runs. Findings are handed out as copies: runOut's slices are
 // views into recycled executor state, and a Result outlives the run that
 // produced it.
-func judge(out runOut, oracle Oracle, opts Options) (Result, bool) {
+func judge(out runOut, oracle Oracle) (Result, bool) {
 	if out.err != nil {
-		if opts.IgnoreKernelErrors {
-			return Result{}, false
-		}
 		return finding(out, nil, out.err), true
-	}
-	if out.streamed {
-		// The streaming checker judged this run event by event; a
-		// completed run with no stream findings is clean, so the batch
-		// oracle is skipped entirely.
-		if len(out.streamVs) > 0 {
-			return finding(out, append([]problems.Violation(nil), out.streamVs...), nil), true
-		}
-		return Result{}, false
 	}
 	if vs := oracle(out.tr); len(vs) > 0 {
 		return finding(out, vs, nil), true
@@ -262,7 +234,7 @@ func Run(prog Program, oracle Oracle, opts Options) Result {
 	res := runPhases(e, prog, oracle, opts, t)
 	if opts.Shrink && res.Found {
 		t.phase("shrink")
-		shrinkResult(e, prog, oracle, opts, &res, t)
+		shrinkResult(e, prog, oracle, &res, t)
 	}
 	res.Stats = t.deterministic(&res)
 	t.st.StatsCore = res.Stats
@@ -284,7 +256,7 @@ func runPhases(e *executor, prog Program, oracle Oracle, opts Options, t *tracke
 		t.noteCoverage(log2, exact)
 	}
 	t.ran()
-	if res, found := judge(out, oracle, opts); found {
+	if res, found := judge(out, oracle); found {
 		res.Runs = t.st.Runs
 		return res
 	}

@@ -106,19 +106,6 @@ func TestDeadlockIsAFinding(t *testing.T) {
 	}
 }
 
-// With TreatKernelErrorAsViolation off, deadlocks are skipped.
-func TestKernelErrorSuppressed(t *testing.T) {
-	perRun := Program(func(k kernel.Kernel, r *trace.Recorder) {
-		k.Spawn("stuck", func(p *kernel.Proc) { p.Park() })
-	})
-	opts := Options{RandomRuns: 3, DFSRuns: 0}
-	opts.IgnoreKernelErrors = true
-	res := Run(perRun, func(trace.Trace) []problems.Violation { return nil }, opts)
-	if res.Found {
-		t.Fatalf("res = %+v", res)
-	}
-}
-
 // A trivially clean program exhausts its budget without findings, and the
 // run counter accounts for FIFO + random + DFS phases.
 func TestCleanProgramExhaustsBudget(t *testing.T) {

@@ -40,11 +40,11 @@ func Register(fs *flag.FlagSet) *Flags {
 // to the caller. With -progress, Progress renders ProgressLine on stderr.
 func (f *Flags) Options() explore.Options {
 	o := explore.Options{
-		Workers:   *f.workers,
-		Prune:     *f.prune,
-		DPOR:      *f.dpor,
-		DPORAudit: *f.dporAudit,
-		Shrink:    *f.shrink,
+		Workers: *f.workers,
+		Prune:   *f.prune,
+		DPOR:    *f.dpor || *f.dporAudit,
+		Audit:   *f.dporAudit,
+		Shrink:  *f.shrink,
 	}
 	if *f.progress {
 		o.Progress = ProgressLine(os.Stderr)

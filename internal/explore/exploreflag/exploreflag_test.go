@@ -18,8 +18,17 @@ func TestRegisterOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := f.Options()
-	if o.Workers != 3 || !o.Prune || !o.DPOR || !o.DPORAudit || !o.Shrink || o.Progress != nil {
+	if o.Workers != 3 || !o.Prune || !o.DPOR || !o.Audit || !o.Shrink || o.Progress != nil {
 		t.Fatalf("options = %+v", o)
+	}
+	// -dpor-audit alone turns the reduction on as well as its audit.
+	fs = flag.NewFlagSet("tool", flag.ContinueOnError)
+	f = Register(fs)
+	if err := fs.Parse([]string{"-dpor-audit"}); err != nil {
+		t.Fatal(err)
+	}
+	if o := f.Options(); !o.DPOR || !o.Audit || o.Prune {
+		t.Fatalf("-dpor-audit options = %+v", o)
 	}
 	for _, retired := range []string{"pool", "checkpoint"} {
 		if fs.Lookup(retired) != nil {

@@ -39,7 +39,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/kernel"
-	"repro/internal/problems"
 	"repro/internal/trace"
 )
 
@@ -59,29 +58,22 @@ type runOut struct {
 	deps     []kernel.DepAccess
 	readyIDs []int32
 	causes   []int32
-	streamVs []problems.Violation
-	streamed bool // a streaming checker judged this run
 	slot     *runSlot
 }
 
-// runSlot bundles the per-run machinery — a kernel, its recorder, and
-// optionally a streaming checker wired to cut violating runs short. Slots
-// are recycled through Reset instead of reallocated, so the steady-state
-// cost of a run is the run itself, not its setup.
+// runSlot bundles the per-run machinery — a kernel and its recorder.
+// Slots are recycled through Reset instead of reallocated, so the
+// steady-state cost of a run is the run itself, not its setup.
 type runSlot struct {
-	k      *kernel.SimKernel
-	r      *trace.Recorder
-	stream problems.StreamChecker
-	vs     []problems.Violation
+	k *kernel.SimKernel
+	r *trace.Recorder
 }
 
-// executor runs schedules on recycled slots, optionally attaching a
-// streaming checker (Options.Stream). It is safe for concurrent use; each
-// run executes on a private slot.
+// executor runs schedules on recycled slots. It is safe for concurrent
+// use; each run executes on a private slot.
 type executor struct {
-	maxSteps  int64
-	newStream func() problems.StreamChecker
-	dpor      bool
+	maxSteps int64
+	dpor     bool
 
 	// slots counts runSlots ever created; reuses counts runs served by a
 	// recycled slot; executed counts runs executed by any worker. Atomics
@@ -98,9 +90,8 @@ type executor struct {
 
 func newExecutor(opts Options) *executor {
 	return &executor{
-		maxSteps:  opts.MaxSteps,
-		newStream: opts.Stream,
-		dpor:      opts.DPOR,
+		maxSteps: opts.MaxSteps,
+		dpor:     opts.DPOR,
 	}
 }
 
@@ -131,15 +122,6 @@ func (e *executor) acquire() *runSlot {
 	e.mu.Lock()
 	e.all = append(e.all, s)
 	e.mu.Unlock()
-	if e.newStream != nil {
-		s.stream = e.newStream()
-		s.r.SetObserver(func(ev trace.Event) {
-			if vs := s.stream.Observe(ev); len(vs) > 0 {
-				s.vs = append(s.vs, vs...)
-				s.k.Stop()
-			}
-		})
-	}
 	return s
 }
 
@@ -170,10 +152,6 @@ func (e *executor) run(prog Program, policy kernel.Policy) runOut {
 	s := e.acquire()
 	s.k.Reset(kernel.WithPolicy(policy))
 	s.r.Reset()
-	if s.stream != nil {
-		s.stream.Reset()
-		s.vs = s.vs[:0]
-	}
 	e.executed.Add(1)
 	prog(s.k, s.r)
 	err := s.k.Run()
@@ -186,8 +164,6 @@ func (e *executor) run(prog Program, policy kernel.Policy) runOut {
 		deps:     s.k.DepAccesses(),
 		readyIDs: s.k.ReadySetIDs(),
 		causes:   s.k.ReadyCauses(),
-		streamVs: s.vs,
-		streamed: s.stream != nil,
 		slot:     s,
 	}
 }
@@ -577,7 +553,7 @@ func randomPhase(e *executor, prog Program, oracle Oracle, opts Options, t *trac
 	run := func(seed int64) *outcome {
 		out := e.run(prog, kernel.Random(seed))
 		o := &outcome{judged: true}
-		o.res, o.found = judge(out, oracle, opts)
+		o.res, o.found = judge(out, oracle)
 		e.release(out)
 		return o
 	}
@@ -597,7 +573,7 @@ func randomPhase(e *executor, prog Program, oracle Oracle, opts Options, t *trac
 	return Result{}, false
 }
 
-// auditSet summarizes what a DFS pass found, for the PruneAudit
+// auditSet summarizes what a DFS pass found, for the Audit
 // cross-check: the distinct violation rules plus canonical tokens for
 // kernel errors.
 type auditSet map[string]bool
@@ -621,7 +597,7 @@ func (s auditSet) add(res Result) {
 // requested.
 func dfsPhase(e *executor, prog Program, oracle Oracle, opts Options, t *tracker) Result {
 	t.phase("dfs")
-	if opts.PruneAudit || opts.DPORAudit {
+	if opts.Audit && (opts.Prune || opts.DPOR) {
 		return dfsAudit(e, prog, oracle, opts, t)
 	}
 	res, _ := dfsScan(e, prog, oracle, opts, t, opts.Prune, opts.DPOR, false)
@@ -648,14 +624,16 @@ func dfsAudit(e *executor, prog Program, oracle Oracle, opts Options, t *tracker
 	}
 	if len(missing) > 0 {
 		sort.Strings(missing)
-		res.Found = true
-		if opts.DPORAudit {
-			res.Err = fmt.Errorf("explore: dpor audit failed: reduced search missed %s",
-				strings.Join(missing, ", "))
-		} else {
-			res.Err = fmt.Errorf("explore: prune audit failed: pruned search missed %s",
-				strings.Join(missing, ", "))
+		var on []string
+		if opts.Prune {
+			on = append(on, "prune")
 		}
+		if opts.DPOR {
+			on = append(on, "dpor")
+		}
+		res.Found = true
+		res.Err = fmt.Errorf("%w: %s search missed %s", ErrAuditFailed,
+			strings.Join(on, "+"), strings.Join(missing, ", "))
 	}
 	return res
 }
@@ -701,7 +679,7 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 	settle := func(w *worker, out runOut) *outcome {
 		o := &outcome{sched: clip(out.schedule, depth)}
 		if !deferred {
-			o.res, o.found = judge(out, oracle, opts)
+			o.res, o.found = judge(out, oracle)
 			o.judged = true
 		}
 		if prune || dpor {
@@ -780,7 +758,7 @@ func dfsScan(e *executor, prog Program, oracle Oracle, opts Options, t *tracker,
 			return o
 		},
 		func(o *outcome) {
-			o.res, o.found = judge(o.run, oracle, opts)
+			o.res, o.found = judge(o.run, oracle)
 			e.release(o.run)
 			o.run = runOut{}
 		})
@@ -956,7 +934,7 @@ func clip[T any](s []T, n int) []T {
 //
 // Skipped sibling counts accumulate into *pruned for reporting. The
 // fingerprint is a heuristic abstraction (see kernel.Fingerprint);
-// Options.PruneAudit cross-checks that pruning lost no violation.
+// Options.Audit cross-checks that pruning lost no violation.
 func expandDFS(prefix []kernel.Choice, o *outcome, depth int, expanded map[uint64]bool, pruned *int) []*task {
 	schedule := o.sched
 	limit := min(len(schedule), depth)

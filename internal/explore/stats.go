@@ -102,7 +102,7 @@ func newTracker(e *executor, opts Options) *tracker {
 }
 
 // silent returns a tracker sharing e but emitting no progress — for
-// reference passes (PruneAudit) whose runs are not part of the canonical
+// reference passes (Options.Audit) whose runs are not part of the canonical
 // counter stream.
 func (t *tracker) silent() *tracker {
 	return &tracker{e: t.e, st: t.st}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -83,9 +82,10 @@ func TestPruneAuditT4Suite(t *testing.T) {
 					RandomRuns: -1,
 					DFSRuns:    150,
 					DFSDepth:   16,
-					PruneAudit: true,
+					Prune:      true,
+					Audit:      true,
 				})
-				if res.Err != nil && strings.Contains(res.Err.Error(), "prune audit") {
+				if errors.Is(res.Err, ErrAuditFailed) {
 					t.Fatalf("prune audit failed: %v", res.Err)
 				}
 			})
@@ -93,10 +93,9 @@ func TestPruneAuditT4Suite(t *testing.T) {
 	}
 }
 
-// Prune and Stream are throughput knobs, not semantics knobs: pruned
-// exploration is identical across worker counts (its pruning decisions
-// are driver-side and canonical-order), and streamed judging finds what
-// batch judging finds.
+// Prune is a throughput knob, not a semantics knob: pruned exploration is
+// identical across worker counts (its pruning decisions are driver-side
+// and canonical-order).
 func TestPoolAndPruneDeterminism(t *testing.T) {
 	oracle := Oracle(problems.CheckReadersPriority)
 	base := Options{RandomRuns: 100, DFSRuns: 400, DFSDepth: 24}
@@ -118,85 +117,6 @@ func TestPoolAndPruneDeterminism(t *testing.T) {
 		}
 	})
 
-	t.Run("stream-matches-batch-judging", func(t *testing.T) {
-		inc, ok := problems.IncrementalOracleFor(problems.NameReadersPriority)
-		if !ok {
-			t.Fatal("no incremental oracle for readers-priority")
-		}
-		batch := Run(figure1Program(), inc.Check, base)
-		streamed := base
-		streamed.Stream = inc.New
-		got := Run(figure1Program(), inc.Check, streamed)
-		// A streaming checker agrees with the batch oracle on complete
-		// traces, so the first violating run — and therefore Runs — is
-		// pinned. The streamed run is cut short at the violation, so its
-		// recorded Schedule is a prefix of the batch run's, and the trace
-		// may omit violations past the first.
-		if batch.Found != got.Found || batch.Runs != got.Runs {
-			t.Fatalf("streamed result diverged:\n  batch:  found=%v runs=%d\n  stream: found=%v runs=%d",
-				batch.Found, batch.Runs, got.Found, got.Runs)
-		}
-		if len(got.Schedule) > len(batch.Schedule) ||
-			!reflect.DeepEqual(got.Schedule, batch.Schedule[:len(got.Schedule)]) {
-			t.Fatalf("streamed Schedule is not a prefix of the batch one:\n  batch:  %v\n  stream: %v",
-				batch.Schedule, got.Schedule)
-		}
-		if len(got.Violations) == 0 {
-			t.Fatalf("streamed finding carries no violations")
-		}
-		// The cut-short schedule must still replay to a violating run.
-		tr, err := Replay(figure1Program(), got.Schedule, 0)
-		if err != nil {
-			t.Fatalf("replay failed: %v", err)
-		}
-		if vs := inc.Check(tr); len(vs) == 0 {
-			t.Fatalf("streamed finding does not replay:\n%s", tr)
-		}
-	})
-}
-
-// The streaming overtaking checker must agree with the batch oracle on
-// complete traces: same rule at the same sequence numbers, over hundreds
-// of random schedules of both a buggy and a clean solution.
-func TestStreamMatchesBatch(t *testing.T) {
-	type vkey struct {
-		rule string
-		seq  int64
-	}
-	collect := func(vs []problems.Violation) []vkey {
-		var out []vkey
-		for _, v := range vs {
-			out = append(out, vkey{v.Rule, v.Seq})
-		}
-		return out
-	}
-	for _, problem := range []string{problems.NameReadersPriority, problems.NameWritersPriority} {
-		inc, ok := problems.IncrementalOracleFor(problem)
-		if !ok {
-			t.Fatalf("no incremental oracle for %s", problem)
-		}
-		checker := inc.New()
-		for seed := int64(1); seed <= 300; seed++ {
-			k := kernel.NewSim(kernel.WithPolicy(kernel.Random(seed)))
-			r := trace.NewRecorder(k)
-			figure1Program()(k, r)
-			if err := k.Run(); err != nil {
-				t.Fatalf("%s seed %d: %v", problem, seed, err)
-			}
-			tr := r.Events()
-
-			checker.Reset()
-			var streamed []problems.Violation
-			for _, e := range tr {
-				streamed = append(streamed, checker.Observe(e)...)
-			}
-			want := collect(inc.Check(tr))
-			got := collect(streamed)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s seed %d: batch %v, stream %v\n%s", problem, seed, want, got, tr)
-			}
-		}
-	}
 }
 
 // Exploration parks recycled worker goroutines between runs; Run, with

@@ -208,10 +208,9 @@ type SimKernel struct {
 	// doneCh carries the run outcome from whichever goroutine detects
 	// termination back to Run. Buffered so the finishing process never
 	// blocks on the driver.
-	doneCh        chan error
-	started       bool
-	finished      bool
-	stopRequested bool
+	doneCh   chan error
+	started  bool
+	finished bool
 }
 
 // SimOption configures a SimKernel.
@@ -476,16 +475,6 @@ func (k *SimKernel) StepVisibility() []bool {
 	return k.visible
 }
 
-// Stop requests that the run finish at the next scheduling step, as if
-// the program had completed: Run returns nil with the partial history.
-// Streaming oracles use it to cut violating runs short. Safe to call from
-// a running process or (pointlessly, but harmlessly) after Run returned.
-func (k *SimKernel) Stop() {
-	k.mu.Lock()
-	k.stopRequested = true
-	k.mu.Unlock()
-}
-
 // Reset returns the kernel to its pristine pre-spawn state, retaining
 // every allocation — choice, fingerprint, and scratch buffers keep their
 // capacity — so a pooled kernel runs in zero-allocation steady state. The
@@ -526,7 +515,6 @@ func (k *SimKernel) Reset(opts ...SimOption) {
 	k.causes = k.causes[:0]
 	k.started = false
 	k.finished = false
-	k.stopRequested = false
 	for _, o := range opts {
 		o(k)
 	}
@@ -613,13 +601,6 @@ func (k *SimKernel) schedule(self *simProc) (next *simProc, fin bool, err error)
 	// process has handed control back, so stepVisible is final).
 	if len(k.visible) < len(k.choices) {
 		k.visible = append(k.visible, k.stepVisible)
-	}
-	if k.stopRequested {
-		// Early exit on request (e.g. a streaming oracle found its
-		// violation): finish cleanly with the partial history.
-		k.finishLocked()
-		k.mu.Unlock()
-		return nil, true, nil
 	}
 	if k.steps >= k.maxSteps {
 		k.finishLocked()

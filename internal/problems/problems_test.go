@@ -296,6 +296,24 @@ func TestCheckRWComposite(t *testing.T) {
 	wantClean(t, CheckRW(NameWritersPriority, tr, true))
 }
 
+// A malformed trace is one instrumentation finding, not one per check
+// CheckRW composes.
+func TestCheckRWReportsMalformedTraceOnce(t *testing.T) {
+	tr := tb(t,
+		"1:req:read", "1:in:read",
+		"2:out:write", // exit without enter
+		"1:out:read",
+	)
+	for _, problem := range []string{NameReadersPriority, NameWritersPriority, NameFCFSRW} {
+		for _, strict := range []bool{true, false} {
+			vs := CheckRW(problem, tr, strict)
+			if len(vs) != 1 || vs[0].Rule != "instrumentation" {
+				t.Errorf("CheckRW(%s, strict=%v) = %v, want one instrumentation violation", problem, strict, vs)
+			}
+		}
+	}
+}
+
 // ---- disk oracle ----
 
 func TestScanReference(t *testing.T) {

@@ -155,6 +155,10 @@ func CheckRWExclusion(tr trace.Trace) []Violation {
 	if vs != nil {
 		return vs
 	}
+	return rwOverlaps(ivs)
+}
+
+func rwOverlaps(ivs []trace.Interval) []Violation {
 	return overlapViolations("rw-exclusion", ivs,
 		func(a, b string) bool { return a == OpRead && b == OpRead })
 }
@@ -167,16 +171,31 @@ func CheckRWExclusion(tr trace.Trace) []Violation {
 //
 // Exact on deterministic traces; see CheckFCFS for the real-kernel caveat.
 func CheckReadersPriority(tr trace.Trace) []Violation {
-	return checkNoOvertaking(tr, OpRead, OpWrite, "readers-priority")
+	return noOvertaking(tr, OpRead, OpWrite, "readers-priority")
 }
 
 // CheckWritersPriority is the symmetric judgement: once a writer has
 // requested, no reader may be admitted before it.
 func CheckWritersPriority(tr trace.Trace) []Violation {
-	return checkNoOvertaking(tr, OpWrite, OpRead, "writers-priority")
+	return noOvertaking(tr, OpWrite, OpRead, "writers-priority")
 }
 
-// checkNoOvertaking reports every case where an interval of op loser was
+// waitingReq is a favored request not yet admitted, with the first
+// release recorded after it (0 while there is none).
+type waitingReq struct {
+	procID  int
+	proc    string
+	reqSeq  int64
+	release int64
+}
+
+// openExec is one Enter not yet matched by an Exit.
+type openExec struct {
+	procID int
+	op     string
+}
+
+// noOvertaking reports every case where an operation of op loser was
 // *granted* admission while a favored-op request was waiting.
 //
 // Grant moments are not directly observable in a trace: a mechanism hands
@@ -187,37 +206,70 @@ func CheckWritersPriority(tr trace.Trace) []Violation {
 // already waiting — otherwise the grant decision predates the favored
 // request and no priority rule was broken. The paper's footnote-3 anomaly
 // satisfies this rule (the first writer's completion is the release at
-// which the second writer is wrongly preferred).
-func checkNoOvertaking(tr trace.Trace, favored, loser, rule string) []Violation {
-	ivs, vs := requireIntervals(tr)
-	if vs != nil {
-		return vs
-	}
-	exits := releaseSeqs(tr, OpRead, OpWrite)
-	var out []Violation
-	for _, f := range ivs {
-		if f.Op != favored || f.RequestSeq == 0 {
-			continue
-		}
-		// A favored waiter never admitted by trace end (Started() false)
-		// waited forever: every later loser admission overtook it.
-		fEnter := enterOrEnd(f)
-		for _, l := range ivs {
-			if l.Op != loser || !l.Started() {
-				continue
+// which the second writer is wrongly preferred). A favored request never
+// admitted by trace end waited forever: every later loser admission past
+// a release overtook it.
+//
+// The judgement is one pass over the trace, without reconstructing
+// intervals: it keeps the favored requests still waiting, each with the
+// first release after it, and at every loser Enter reports each waiting
+// request that has one. Requests match Enters per process in FIFO order,
+// as in trace.Intervals. An Exit with no open Enter of the same process
+// and op is the malformation Intervals rejects; it is reported, with the
+// same detail, as the only violation. Violations come out in ascending
+// Seq order.
+func noOvertaking(tr trace.Trace, favored, loser, rule string) []Violation {
+	var (
+		waiting []waitingReq
+		open    []openExec
+		out     []Violation
+	)
+	for _, e := range tr {
+		switch e.Kind {
+		case trace.KindRequest:
+			if e.Op == favored {
+				waiting = append(waiting, waitingReq{procID: e.ProcID, proc: e.Proc, reqSeq: e.Seq})
 			}
-			if l.EnterSeq > f.RequestSeq && l.EnterSeq < fEnter &&
-				anyInWindow(exits, f.RequestSeq, l.EnterSeq) {
-				admitted := fmt.Sprintf("admitted @%d", f.EnterSeq)
-				if !f.Started() {
-					admitted = "never admitted"
+		case trace.KindEnter:
+			open = append(open, openExec{e.ProcID, e.Op})
+			switch e.Op {
+			case favored:
+				// Admitted: the process's oldest waiting request is
+				// served. Order is kept, so requests without a release
+				// stay a suffix of waiting.
+				for i, w := range waiting {
+					if w.procID == e.ProcID {
+						waiting = append(waiting[:i], waiting[i+1:]...)
+						break
+					}
 				}
-				out = append(out, Violation{
-					Rule: rule,
-					Detail: fmt.Sprintf("%s admitted while %s was waiting (requested @%d, %s)",
-						l, f, f.RequestSeq, admitted),
-					Seq: l.EnterSeq,
-				})
+			case loser:
+				for _, w := range waiting {
+					if w.release != 0 {
+						out = append(out, Violation{
+							Rule: rule,
+							Detail: fmt.Sprintf("%s %s enter@%d admitted while %s %s was waiting (requested @%d, window opened by release @%d)",
+								e.Proc, e.Op, e.Seq, w.proc, favored, w.reqSeq, w.release),
+							Seq: e.Seq,
+						})
+					}
+				}
+			}
+		case trace.KindExit:
+			i := len(open) - 1
+			for i >= 0 && (open[i].procID != e.ProcID || open[i].op != e.Op) {
+				i--
+			}
+			if i < 0 {
+				return []Violation{{Rule: "instrumentation",
+					Detail: fmt.Sprintf("trace: exit without enter: %s", e)}}
+			}
+			open[i] = open[len(open)-1]
+			open = open[:len(open)-1]
+			if e.Op == OpRead || e.Op == OpWrite {
+				for j := len(waiting) - 1; j >= 0 && waiting[j].release == 0; j-- {
+					waiting[j].release = e.Seq
+				}
 			}
 		}
 	}
@@ -226,7 +278,7 @@ func checkNoOvertaking(tr trace.Trace, favored, loser, rule string) []Violation 
 
 // CheckFCFSRW judges the FCFS variant: admissions occur strictly in
 // request order, subject to the same release-window rule as
-// checkNoOvertaking (see there). Read–read pairs are exempt: two reads
+// noOvertaking (see there). Read–read pairs are exempt: two reads
 // are admitted into a shared phase, so their relative Enter order is a
 // recording artifact (a Hoare signal cascade grants a batch of readers
 // FIFO but they record their Enters in scheduler order), not an
@@ -236,6 +288,10 @@ func CheckFCFSRW(tr trace.Trace) []Violation {
 	if vs != nil {
 		return vs
 	}
+	return fcfsRWInversions(tr, ivs)
+}
+
+func fcfsRWInversions(tr trace.Trace, ivs []trace.Interval) []Violation {
 	var out []Violation
 	for _, iv := range ivs {
 		if iv.RequestSeq == 0 {
@@ -287,8 +343,13 @@ func orderInversionsFiltered(rule string, ivs []trace.Interval, exits []int64, e
 }
 
 // CheckRW composes the exclusion check with the variant's priority check.
+// Intervals are reconstructed once; a malformed trace is reported once.
 func CheckRW(problem string, tr trace.Trace, checkPriority bool) []Violation {
-	out := CheckRWExclusion(tr)
+	ivs, vs := requireIntervals(tr)
+	if vs != nil {
+		return vs
+	}
+	out := rwOverlaps(ivs)
 	if !checkPriority {
 		return out
 	}
@@ -298,7 +359,7 @@ func CheckRW(problem string, tr trace.Trace, checkPriority bool) []Violation {
 	case NameWritersPriority:
 		out = append(out, CheckWritersPriority(tr)...)
 	case NameFCFSRW:
-		out = append(out, CheckFCFSRW(tr)...)
+		out = append(out, fcfsRWInversions(tr, ivs)...)
 	}
 	return out
 }

@@ -105,11 +105,6 @@ type Recorder struct {
 	k    kernel.Kernel
 	coop cooperativeKernel // non-nil: unsynchronized fast path
 
-	// observer, when set, sees every event as it is recorded (streaming
-	// oracles hang off this). Called with the recorder's synchronization
-	// — i.e. on the recording process's goroutine.
-	observer func(Event)
-
 	// ops interns operation-name strings: every event with the same op
 	// shares one backing array, so long traces retain O(distinct ops)
 	// string bytes and oracle comparisons hit the pointer-equality fast
@@ -130,11 +125,6 @@ func NewRecorder(k kernel.Kernel) *Recorder {
 	}
 	return r
 }
-
-// SetObserver installs fn to be called with every subsequently recorded
-// event, in sequence order, on the recording process's goroutine. A nil
-// fn removes the observer. Install before the run starts.
-func (r *Recorder) SetObserver(fn func(Event)) { r.observer = fn }
 
 // Reset discards all recorded events, retaining the event buffer and the
 // op intern table, so a pooled recorder records in zero-allocation steady
@@ -190,9 +180,6 @@ func (r *Recorder) append(p *kernel.Proc, t kernel.Time, kind Kind, op string, a
 		Note:   note,
 	}
 	r.events = append(r.events, e)
-	if r.observer != nil {
-		r.observer(e)
-	}
 	return e
 }
 
